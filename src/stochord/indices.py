@@ -13,7 +13,7 @@ sits from that relation:
     sup_x (G(x) - F(x)), the one-sided Kolmogorov-Smirnov distance.
     Equals the smallest P(X > Y) achievable by any coupling of F and G.
 ``vartheta_index``
-    1 - pi_index(G, F), the largest P(X <= Y) over couplings.
+    1 - pi_index(G, F), the largest P(X >= Y) over couplings.
 ``epsilon_index``
     Mass ratio int (G-F)^+ dx / int |G-F| dx; unlike the others it is
     invariant only under increasing affine maps, not all increasing maps.
@@ -192,7 +192,7 @@ def pi_index(F: Distribution, G: Distribution) -> float:
 
 
 def vartheta_index(F: Distribution, G: Distribution) -> float:
-    """Largest P(X <= Y) over couplings: 1 - pi_index(G, F)."""
+    """Largest P(X >= Y) over couplings: 1 - pi_index(G, F)."""
     return 1.0 - pi_index(G, F)
 
 
