@@ -1,7 +1,7 @@
 """NoncentralT1 against a quadrature reference and its tail asymptotes.
 
-The reference is the fixed-panel Gauss-Legendre quadrature the package
-used before the Owen's T closed form.  It resolves |x| up to about 1e13,
+The reference is an independent fixed-panel Gauss-Legendre quadrature
+of the CDF and density.  It resolves |x| up to about 1e13,
 so beyond 1e12 the tests compare with the leading tail asymptotes
 F(x) ~ c/|x| (x -> -inf) and 1 - F(x) ~ c'/x (x -> +inf), whose relative
 corrections are O(1/x^2).
