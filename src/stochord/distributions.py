@@ -140,11 +140,12 @@ class Normal(Distribution):
 # which keeps relative accuracy out to |x| = 1e300.  The density is
 #   f(x) = g(x)/r^2,  g = [exp(-ncp^2/2)
 #          + sqrt(2 pi) ncp (x/r) exp(-a^2/2) Phi(ncp x/r)]/pi,
-# with g bounded, so Newton steps on the quantile use g even where f
+# with g bounded, so Newton steps on the quantile use g where f
 # underflows.  Below the median F(x) <= c/|x| for every x < 0, with
 # equality up to a factor 1 + O(1/x^2), where
 # c = 2 phi(0) (phi(ncp) - ncp Phi(-ncp)).
 _DBL_MAX = float(np.finfo(float).max)
+_DBL_TINY = float(np.finfo(float).tiny)
 _T1_NEWTON_CAP = 100
 _T1_XTOL = 4.0 * float(np.finfo(float).eps)
 
@@ -202,7 +203,8 @@ class NoncentralT1(Distribution):
         self.ncp = float(ncp)
         if not math.isfinite(self.ncp):
             raise ParameterError("ncp must be finite")
-        self._tables: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._table: tuple[np.ndarray, np.ndarray] | None = None
+        self._reflection: NoncentralT1 | None = None
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -214,22 +216,22 @@ class NoncentralT1(Distribution):
         return _maybe_scalar(_t1_scaled_density(x, self.ncp) * inv_r * inv_r,
                              x.ndim == 0)
 
-    def _table(self, ncp: float) -> tuple[np.ndarray, np.ndarray]:
-        # Lazily built bracketing table of F(x; ncp): dense linear core,
-        # log-spaced tails out to 1e13 (the Cauchy-like tails decay as 1/x),
-        # reduced to strictly increasing CDF values.
-        if ncp not in self._tables:
+    def _quantile_table(self) -> tuple[np.ndarray, np.ndarray]:
+        # Lazily built bracketing table of F: dense linear core, log-spaced
+        # tails out to 1e13 (the Cauchy-like tails decay as 1/x), reduced
+        # to strictly increasing CDF values.
+        if self._table is None:
             core = np.linspace(-24.0, 24.0, 1537)
             tail = np.exp(np.linspace(math.log(24.0), math.log(1e13), 385))
             xs = np.unique(np.concatenate((-tail[1:], core, tail[1:])))
-            fs, first = np.unique(np.maximum.accumulate(_t1_cdf(xs, ncp)),
+            fs, first = np.unique(np.maximum.accumulate(self.cdf(xs)),
                                   return_index=True)
-            self._tables[ncp] = (xs[first], fs)
-        return self._tables[ncp]
+            self._table = (xs[first], fs)
+        return self._table
 
-    def _solve_lower(self, p: np.ndarray, ncp: float) -> np.ndarray:
-        """Solve F(x; ncp) = p for p <= 1/2."""
-        xt, ft = self._table(ncp)
+    def _solve_lower(self, p: np.ndarray) -> np.ndarray:
+        """Solve F(x) = p for p <= 1/2."""
+        xt, ft = self._quantile_table()
         j = np.clip(np.searchsorted(ft, p, side="left"), 1, ft.size - 1)
         lo, hi = xt[j - 1], xt[j]
         x = lo + (hi - lo) * (p - ft[j - 1]) / (ft[j] - ft[j - 1])
@@ -237,6 +239,7 @@ class NoncentralT1(Distribution):
         if below.any():
             # F(x) <= c/|x| for x < 0: -c/p bounds the root from below and
             # equals it to O(1/x^2), that is exactly beyond the table
+            ncp = self.ncp
             c = 2.0 * _phi(0.0) * (_phi(ncp) - ncp * ndtr(-ncp))
             if p[below].min() * _DBL_MAX <= c:
                 raise NumericError("t1 quantile lies beyond the double range")
@@ -245,14 +248,11 @@ class NoncentralT1(Distribution):
         active = np.arange(p.size)
         for _ in range(_T1_NEWTON_CAP):
             xa, pa = x[active], p[active]
-            fx = _t1_cdf(xa, ncp)
+            fx = self.cdf(xa)
             over = fx >= pa
             la = np.where(over, lo[active], xa)
             ha = np.where(over, xa, hi[active])
-            # f = g/r^2; multiplying by r twice keeps every factor finite
-            r = np.hypot(1.0, xa)
-            g = np.maximum(_t1_scaled_density(xa, ncp), 5e-324)
-            xn = xa - (fx - pa) * r / g * r
+            xn = xa - self._newton_step(xa, fx - pa)
             scale = _T1_XTOL * np.maximum(np.abs(xa), 1.0)
             small = np.abs(xn - xa) <= scale
             xn = np.where(small | ((xn > la) & (xn < ha)), xn, 0.5 * (la + ha))
@@ -263,17 +263,35 @@ class NoncentralT1(Distribution):
                 return x
         raise NumericError("t1 quantile Newton iteration did not converge")
 
+    def _newton_step(self, x: np.ndarray, residual: np.ndarray) -> np.ndarray:
+        """residual / f(x), finite also where the density underflows."""
+        f = self.density(x)
+        deep = f < _DBL_TINY
+        step = residual / np.where(deep, 1.0, f)
+        if deep.any():
+            # |x| beyond about 1e154: f = g/r^2 with g bounded, so
+            # multiplying by r twice keeps every factor finite
+            xd = x[deep]
+            r = np.hypot(1.0, xd)
+            g = np.maximum(_t1_scaled_density(xd, self.ncp), 5e-324)
+            step[deep] = residual[deep] * r / g * r
+        return step
+
     def quantile(self, t):
         t, scalar = _as_prob_array(t)
         tj = np.atleast_1d(t)
-        # Above the median solve for the survival function, F(-x; -ncp) =
-        # 1 - t; the difference is exact in double precision for t >= 1/2.
+        # Above the median solve for the survival function: -T has
+        # noncentrality -ncp, so F(-x; -ncp) = 1 - t, and the difference
+        # is exact in double precision for t >= 1/2.
         upper = tj > 0.5
         p = np.where(upper, 1.0 - tj, tj)
         x = np.empty_like(p)
-        for side, sign in ((~upper, 1.0), (upper, -1.0)):
-            if side.any():
-                x[side] = sign * self._solve_lower(p[side], sign * self.ncp)
+        if (~upper).any():
+            x[~upper] = self._solve_lower(p[~upper])
+        if upper.any():
+            if self._reflection is None:
+                self._reflection = NoncentralT1(-self.ncp)
+            x[upper] = -self._reflection._solve_lower(p[upper])
         return _maybe_scalar(x if not scalar else x[0], scalar)
 
     def sample(self, n: int, seed: SeedSpec | int) -> np.ndarray:
