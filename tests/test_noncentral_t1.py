@@ -171,7 +171,7 @@ def test_t1_quantile_nondecreasing(ncp, ts, t0):
     # terms of either CDF form cancel (by ~60x near x = -1 for ncp = 3);
     # there the crossings spread over some 600 ulps of x.  Scanning runs
     # of 16 adjacent doubles the worst swaps were 269 ulps of max(|q|, 1)
-    # there (ncp = 3, t = 2.9e-4) and 7 elsewhere, the t = 1/2 switch
+    # there (ncp = 3, t = 2.9e-4) and at most 7 elsewhere, the t = 1/2 switch
     # between the two solves included.
     ulps = np.where(qs[:-1] * ncp < 0, 1024, 16)
     slack = ulps * np.spacing(np.maximum(np.abs(qs[:-1]), 1.0))
