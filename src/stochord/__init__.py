@@ -10,54 +10,54 @@ samples, an exact rank-order test, bootstrap standard errors and
 confidence bounds, a threshold test for gamma, and Monte Carlo tools
 (Brownian-bridge occupation experiments, limit-law sampling) for
 checking the asymptotic theory.
+
+The public names below load their module (and numpy, and scipy where
+the module needs it) on first access, so importing the package, or a
+light submodule such as `stochord.errors`, stays cheap.
 """
-from .bridge import (BridgePath, SubsetSpec, bridge_path,
-                     make_gamma_set_pair, nonconsistency_demo,
-                     occupation_positive)
-from .distributions import (Distribution, Empirical, EmpiricalDistribution,
-                            NoncentralT1, Normal, NormalMixture, cdf_eval,
-                            density_eval, from_descriptor, quantile_eval,
-                            sample)
-from .errors import (DataError, DomainError, NumericError, ParameterError,
-                     StochordError)
-from .indices import (GridSpec, IndexReport, epsilon_index, gamma_index,
-                      index_report, optimal_copula_eval, pi_index,
-                      rearranged_quantile, rho_index, vartheta_index)
-from .inference import (CrossingSpec, GaltonResult, TestResult, bootstrap_sd,
-                        find_crossings, galton_test, gamma_limit_variance,
-                        gamma_plugin, gamma_threshold_test, pi_limit_sample,
-                        pi_plugin, rho_plugin)
-from .rng import SeedSpec, as_seed
-from .simharness import (ExperimentResult, Scenario,
-                         asymptotic_law_experiment, builtin_scenarios,
-                         run_table, run_table1_cell, verify_nominal_gamma)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # distributions
-    "Distribution", "Normal", "NoncentralT1", "NormalMixture",
-    "EmpiricalDistribution", "Empirical", "from_descriptor",
-    "cdf_eval", "quantile_eval", "density_eval", "sample",
-    # indices
-    "GridSpec", "IndexReport", "gamma_index", "rho_index", "pi_index",
-    "vartheta_index", "epsilon_index", "index_report",
-    "rearranged_quantile", "optimal_copula_eval",
-    # inference
-    "GaltonResult", "galton_test", "gamma_plugin", "rho_plugin",
-    "pi_plugin", "bootstrap_sd", "TestResult", "gamma_threshold_test",
-    "CrossingSpec", "gamma_limit_variance", "find_crossings",
-    "pi_limit_sample",
-    # bridge
-    "BridgePath", "bridge_path", "SubsetSpec", "occupation_positive",
-    "make_gamma_set_pair", "nonconsistency_demo",
-    # simulation harness
-    "Scenario", "builtin_scenarios", "verify_nominal_gamma",
-    "ExperimentResult", "run_table1_cell", "run_table",
-    "asymptotic_law_experiment",
-    # rng / errors
-    "SeedSpec", "as_seed",
-    "StochordError", "ParameterError", "DomainError", "DataError",
-    "NumericError",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "distributions": ("Distribution", "Normal", "NoncentralT1",
+                      "NormalMixture", "Empirical", "from_descriptor"),
+    "indices": ("GridSpec", "IndexReport", "gamma_index", "rho_index",
+                "pi_index", "vartheta_index", "epsilon_index",
+                "index_report", "rearranged_quantile",
+                "optimal_copula_eval"),
+    "inference": ("GaltonResult", "galton_test", "gamma_plugin",
+                  "rho_plugin", "pi_plugin", "bootstrap_sd", "TestResult",
+                  "gamma_threshold_test", "CrossingSpec",
+                  "gamma_limit_variance", "find_crossings",
+                  "pi_limit_sample"),
+    "bridge": ("BridgePath", "bridge_path", "SubsetSpec",
+               "occupation_positive", "make_gamma_set_pair",
+               "nonconsistency_demo"),
+    "simharness": ("Scenario", "builtin_scenarios", "verify_nominal_gamma",
+                   "ExperimentResult", "run_table1_cell", "run_table",
+                   "asymptotic_law_experiment"),
+    "rng": ("SeedSpec", "as_seed"),
+    "errors": ("StochordError", "ParameterError", "DomainError",
+               "DataError", "NumericError"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    # not cached in the package namespace: every access returns the
+    # submodule's current attribute
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -9,6 +9,11 @@ run_info.json, which is the only non-reproducible output.
 
 Exit codes: 0 success, 2 usage/argument problems, 3 data ingestion
 problems, 4 numeric failures or violated assumptions.
+
+Each subcommand handler imports what it uses when it runs, so
+``--version``, ``--help`` and usage errors load neither numpy nor scipy;
+scipy loads only when an analytic model or a normal quantile is
+evaluated.
 """
 from __future__ import annotations
 
@@ -19,24 +24,19 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .bridge import SubsetSpec, bridge_path, nonconsistency_demo, occupation_positive
-from .distributions import Distribution, Empirical, from_descriptor
 from .errors import (DataError, DomainError, NumericError, ParameterError,
                      StochordError)
-from .indices import GridSpec, index_report
-from .inference import galton_test, gamma_threshold_test, pi_limit_sample
-from .io_utils import (atomic_write_csv, atomic_write_json, canonical_json,
-                       config_hash, load_sample_csv)
-from .rng import SeedSpec
-from .simharness import (asymptotic_law_experiment, builtin_scenarios,
-                         run_table, verify_nominal_gamma)
 
-__all__ = ["main", "run_command", "CommandConfig", "emit_quantile_table",
-           "load_sample_csv"]
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .distributions import Distribution
+    from .indices import GridSpec
+
+__all__ = ["main", "run_command", "CommandConfig", "emit_quantile_table"]
 
 
 @dataclass
@@ -70,6 +70,8 @@ def _resolve_seed(value: int | None) -> int:
 
 def _load_model(path: str) -> Distribution:
     """Model from a JSON descriptor file or a one-column sample CSV."""
+    from .distributions import Empirical, from_descriptor
+    from .io_utils import load_sample_csv
     p = Path(path)
     if not p.exists():
         raise DataError(f"model file not found: {p}")
@@ -85,6 +87,9 @@ def _load_model(path: str) -> Distribution:
 def _quantile_extended(model: Distribution, ts: np.ndarray) -> np.ndarray:
     """Quantiles over a closed grid: t=0 maps to -inf (the generalized
     inverse of the empty constraint), t=1 to the top of the support."""
+    import numpy as np
+
+    from .distributions import Empirical
     out = np.empty(ts.shape)
     inner = (ts > 0.0) & (ts < 1.0)
     out[inner] = np.asarray(model.quantile(ts[inner]))
@@ -98,6 +103,9 @@ def emit_quantile_table(F: Distribution, G: Distribution, grid: GridSpec,
                         path) -> None:
     """CSV with one row per grid point: t, both quantiles, and the
     indicator of F's quantile strictly exceeding G's."""
+    import numpy as np
+
+    from .io_utils import atomic_write_csv
     m = grid.points
     ts = (np.arange(m) / (m - 1) if grid.kind == "uniform"
           else grid.interior())
@@ -110,12 +118,14 @@ def emit_quantile_table(F: Distribution, G: Distribution, grid: GridSpec,
 
 
 def _provenance(config: CommandConfig) -> dict:
+    from .io_utils import config_hash
     return {"seed": config.seed, "version": __version__,
             "config": config.to_json(),
             "config_hash": config_hash(config.to_json())}
 
 
 def _write_run_info(config: CommandConfig, started: float) -> None:
+    from .io_utils import atomic_write_json
     atomic_write_json(config.out_dir / "run_info.json", {
         "wall_clock_seconds": time.perf_counter() - started,
         "finished_unix_time": time.time(),
@@ -124,6 +134,8 @@ def _write_run_info(config: CommandConfig, started: float) -> None:
 
 
 def _cmd_indices(config: CommandConfig) -> None:
+    from .indices import GridSpec, index_report
+    from .io_utils import atomic_write_csv, atomic_write_json
     opt = config.options
     F = _load_model(opt["f"])
     G = _load_model(opt["g"])
@@ -138,6 +150,8 @@ def _cmd_indices(config: CommandConfig) -> None:
 
 
 def _cmd_galton(config: CommandConfig) -> None:
+    from .inference import galton_test
+    from .io_utils import atomic_write_json, load_sample_csv
     opt = config.options
     xs = load_sample_csv(opt["x"], header=opt["header"])
     ys = load_sample_csv(opt["y"], header=opt["header"])
@@ -149,6 +163,10 @@ def _cmd_galton(config: CommandConfig) -> None:
 
 
 def _cmd_test_gamma(config: CommandConfig) -> None:
+    from .indices import GridSpec
+    from .inference import gamma_threshold_test
+    from .io_utils import atomic_write_json, load_sample_csv
+    from .rng import SeedSpec
     opt = config.options
     xs = load_sample_csv(opt["x"], header=opt["header"])
     ys = load_sample_csv(opt["y"], header=opt["header"])
@@ -161,6 +179,9 @@ def _cmd_test_gamma(config: CommandConfig) -> None:
 
 
 def _cmd_simulate_table(config: CommandConfig) -> None:
+    from .io_utils import atomic_write_csv, atomic_write_json
+    from .rng import SeedSpec
+    from .simharness import builtin_scenarios, run_table, verify_nominal_gamma
     opt = config.options
     scenarios = builtin_scenarios()
     wanted = []
@@ -197,6 +218,12 @@ def _cmd_simulate_table(config: CommandConfig) -> None:
 
 
 def _cmd_bridge_lab(config: CommandConfig) -> None:
+    import numpy as np
+
+    from .bridge import (SubsetSpec, bridge_path, nonconsistency_demo,
+                         occupation_positive)
+    from .io_utils import atomic_write_csv, atomic_write_json
+    from .rng import SeedSpec
     opt = config.options
     seed = SeedSpec(config.seed)
     if opt["mode"] == "occupation":
@@ -230,6 +257,11 @@ def _cmd_bridge_lab(config: CommandConfig) -> None:
 
 
 def _cmd_limit_law(config: CommandConfig) -> None:
+    from .indices import GridSpec
+    from .inference import pi_limit_sample
+    from .io_utils import atomic_write_csv, atomic_write_json
+    from .rng import SeedSpec
+    from .simharness import asymptotic_law_experiment
     opt = config.options
     F = _load_model(opt["f"])
     G = _load_model(opt["g"])
@@ -293,6 +325,7 @@ def run_command(config: CommandConfig) -> int:
 
 
 def _print_error(exc: Exception, code: int) -> None:
+    from .io_utils import canonical_json
     print(canonical_json({"error": type(exc).__name__, "message": str(exc),
                           "exit_code": code}), file=sys.stdout)
 

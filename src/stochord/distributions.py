@@ -21,7 +21,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf, ndtr, ndtri, owens_t
 
 from .errors import DataError, DomainError, NumericError, ParameterError
 from .rng import SeedSpec, as_seed
@@ -32,12 +31,7 @@ __all__ = [
     "NoncentralT1",
     "NormalMixture",
     "Empirical",
-    "EmpiricalDistribution",
     "from_descriptor",
-    "cdf_eval",
-    "quantile_eval",
-    "density_eval",
-    "sample",
 ]
 
 _SQRT_2 = math.sqrt(2.0)
@@ -109,6 +103,7 @@ class Normal(Distribution):
             raise ParameterError(f"sd must be positive, got {self.sd}")
 
     def cdf(self, x):
+        from scipy.special import ndtr
         x = np.asarray(x, dtype=float)
         return _maybe_scalar(ndtr((x - self.mean) / self.sd), x.ndim == 0)
 
@@ -118,6 +113,7 @@ class Normal(Distribution):
                              x.ndim == 0)
 
     def quantile(self, t):
+        from scipy.special import ndtri
         t, scalar = _as_prob_array(t)
         return _maybe_scalar(self.mean + self.sd * ndtri(t), scalar)
 
@@ -152,6 +148,7 @@ _T1_XTOL = 4.0 * float(np.finfo(float).eps)
 
 def _t1_cdf(x, ncp: float) -> np.ndarray:
     """The CDF, relatively accurate in the lower tail."""
+    from scipy.special import erf, ndtr, owens_t
     x = np.asarray(x, dtype=float)
     xf = np.clip(x, -_DBL_MAX, _DBL_MAX)
     r = np.hypot(1.0, xf)
@@ -167,6 +164,7 @@ def _t1_cdf(x, ncp: float) -> np.ndarray:
 
 def _t1_scaled_density(x, ncp: float) -> np.ndarray:
     """The density times 1 + x^2, bounded for every x."""
+    from scipy.special import ndtr
     xf = np.clip(np.asarray(x, dtype=float), -_DBL_MAX, _DBL_MAX)
     r = np.hypot(1.0, xf)
     a, u = ncp / r, xf / r
@@ -239,6 +237,7 @@ class NoncentralT1(Distribution):
         if below.any():
             # F(x) <= c/|x| for x < 0: -c/p bounds the root from below and
             # equals it to O(1/x^2), that is exactly beyond the table
+            from scipy.special import ndtr
             ncp = self.ncp
             c = 2.0 * _phi(0.0) * (_phi(ncp) - ncp * ndtr(-ncp))
             if p[below].min() * _DBL_MAX <= c:
@@ -332,6 +331,7 @@ class NormalMixture(Distribution):
         self._s = np.array([c[2] for c in comps])
 
     def cdf(self, x):
+        from scipy.special import ndtr
         x = np.asarray(x, dtype=float)
         z = (x[..., None] - self._m) / self._s
         return _maybe_scalar(ndtr(z) @ self._w, x.ndim == 0)
@@ -383,10 +383,13 @@ class NormalMixture(Distribution):
                                for (w, m, s) in self.components]}
 
 
-class EmpiricalDistribution:
-    """Sorted sample values with size and a within-sample tie flag."""
+class Empirical(Distribution):
+    """Empirical distribution of a sample: the sorted values, their
+    number ``n`` and a within-sample tie flag."""
 
-    def __init__(self, values):
+    kind = "empirical"
+
+    def __init__(self, values, csv_path: str | None = None):
         arr = np.asarray(values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise DataError("empirical sample must be a nonempty 1-D array")
@@ -395,11 +398,15 @@ class EmpiricalDistribution:
         self.values = np.sort(arr)
         self.n = int(arr.size)
         self.tie_flag = bool(np.any(np.diff(self.values) == 0.0))
+        self.csv_path = csv_path
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         out = np.searchsorted(self.values, np.atleast_1d(x), side="right") / self.n
         return _maybe_scalar(out if x.ndim else out[0], x.ndim == 0)
+
+    def density(self, x):
+        raise DomainError("empirical distributions have no density")
 
     def quantile(self, t):
         """Order statistic ``values[ceil(n t)]`` (1-indexed)."""
@@ -409,40 +416,6 @@ class EmpiricalDistribution:
         idx = np.clip(idx, 1, self.n)
         out = self.values[idx - 1]
         return _maybe_scalar(out if not scalar else out[0], scalar)
-
-
-class Empirical(Distribution):
-    """Distribution wrapper around an EmpiricalDistribution."""
-
-    kind = "empirical"
-
-    def __init__(self, values, csv_path: str | None = None):
-        if isinstance(values, EmpiricalDistribution):
-            self.empirical = values
-        else:
-            self.empirical = EmpiricalDistribution(values)
-        self.csv_path = csv_path
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.empirical.values
-
-    @property
-    def n(self) -> int:
-        return self.empirical.n
-
-    @property
-    def tie_flag(self) -> bool:
-        return self.empirical.tie_flag
-
-    def cdf(self, x):
-        return self.empirical.cdf(x)
-
-    def density(self, x):
-        raise DomainError("empirical distributions have no density")
-
-    def quantile(self, t):
-        return self.empirical.quantile(t)
 
     def sample(self, n: int, seed: SeedSpec | int) -> np.ndarray:
         rng = as_seed(seed).generator()
@@ -485,19 +458,3 @@ def from_descriptor(obj: dict, base_dir: str | Path | None = None) -> Distributi
     except KeyError as exc:
         raise DataError(f"model descriptor missing field {exc}") from None
     raise DataError(f"unknown model kind {kind!r}")
-
-
-def cdf_eval(model: Distribution, x):
-    return model.cdf(x)
-
-
-def quantile_eval(model: Distribution, t):
-    return model.quantile(t)
-
-
-def density_eval(model: Distribution, x):
-    return model.density(x)
-
-
-def sample(model: Distribution, n: int, seed: SeedSpec | int) -> np.ndarray:
-    return model.sample(n, seed)

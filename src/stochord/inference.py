@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from .distributions import Distribution, Empirical
 from .errors import DomainError, NumericError
@@ -201,6 +200,7 @@ def gamma_threshold_test(xs, ys, gamma0: float, alpha: float = 0.05,
                          B: int = 1000, grid: GridSpec | None = None,
                          seed: SeedSpec | int | None = None) -> TestResult:
     """Test H0: gamma(F,G) >= gamma0 against gamma < gamma0 at level alpha."""
+    from scipy.special import ndtri
     if not (0.0 <= gamma0 <= 1.0):
         raise DomainError("gamma0 must lie in [0, 1]")
     if not (0.0 < alpha < 1.0):

@@ -1,0 +1,101 @@
+"""Import hygiene: each command loads only what it uses.
+
+Every check runs in a fresh interpreter, since this test process has
+long since imported numpy and scipy.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import stochord
+
+SRC = str(Path(stochord.__file__).resolve().parent.parent)
+
+# runs `stochord.cli.main(argv)` and prints its exit code and which of
+# numpy and scipy it loaded
+RUN_CLI = """
+import json, sys
+from stochord.cli import main
+try:
+    rc = main(json.loads(sys.argv[1]))
+except SystemExit as exc:
+    rc = exc.code
+heavy = sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+print(json.dumps({"rc": rc, "loaded": heavy}))
+"""
+
+PUBLIC_NAMES = """
+import json, sys
+import stochord
+after_import = "numpy" in sys.modules
+unresolved = [n for n in stochord.__all__ if not hasattr(stochord, n)]
+undir = sorted(set(stochord.__all__) - set(dir(stochord)))
+print(json.dumps({"numpy_on_import": after_import, "unresolved": unresolved,
+                  "not_in_dir": undir}))
+"""
+
+
+def fresh(code: str, *args: str) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def cli(argv: list[str]) -> dict:
+    return fresh(RUN_CLI, json.dumps(argv))
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["galton", "--x", "x.csv"], 2),                  # argparse usage error
+    (["simulate-table", "--case", "1", "--n", "10", "--reps", "1",
+      "--alpha", "2"], 2),                            # option out of range
+])
+def test_front_end_loads_neither_numpy_nor_scipy(argv, rc):
+    assert cli(argv) == {"rc": rc, "loaded": []}
+
+
+@pytest.fixture
+def samples(tmp_path):
+    rng = np.random.default_rng(3)
+    paths = []
+    for name, loc in (("x.csv", 0.0), ("y.csv", 0.5)):
+        path = tmp_path / name
+        path.write_text("\n".join(map(repr, (loc + rng.standard_normal(30))
+                                      .tolist())) + "\n")
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("command", ["galton", "bridge-lab", "indices"])
+def test_sample_commands_load_no_scipy(tmp_path, samples, command):
+    x, y = samples
+    argv = {
+        "galton": ["galton", "--x", x, "--y", y],
+        "bridge-lab": ["bridge-lab", "--mode", "occupation", "--paths", "5",
+                       "--bridge-grid", "64"],
+        "indices": ["indices", "--f", x, "--g", y, "--quantile-table"],
+    }[command]
+    assert cli(argv + ["--out", str(tmp_path / "out")]) == {
+        "rc": 0, "loaded": ["numpy"]}
+
+
+def test_public_names_resolve_on_demand():
+    assert fresh(PUBLIC_NAMES) == {"numpy_on_import": False,
+                                   "unresolved": [], "not_in_dir": []}
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        stochord.no_such_name
