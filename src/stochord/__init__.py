@@ -28,9 +28,8 @@ _EXPORTS = {
                 "index_report", "rearranged_quantile",
                 "optimal_copula_eval"),
     "inference": ("GaltonResult", "galton_test", "gamma_plugin",
-                  "rho_plugin", "pi_plugin", "bootstrap_sd", "TestResult",
-                  "gamma_threshold_test", "CrossingSpec",
-                  "gamma_limit_variance", "find_crossings",
+                  "bootstrap_sd", "TestResult", "gamma_threshold_test",
+                  "CrossingSpec", "gamma_limit_variance", "find_crossings",
                   "pi_limit_sample"),
     "bridge": ("BridgePath", "bridge_path", "SubsetSpec",
                "occupation_positive", "make_gamma_set_pair",

@@ -383,6 +383,12 @@ class NormalMixture(Distribution):
                                for (w, m, s) in self.components]}
 
 
+def _order_index(n: int, t: np.ndarray) -> np.ndarray:
+    """0-based index ceil(n t) - 1 of the order statistic that is the
+    quantile at t of a sample of size n, for t in (0, 1)."""
+    return np.clip(np.ceil(n * t).astype(np.int64), 1, n) - 1
+
+
 class Empirical(Distribution):
     """Empirical distribution of a sample: the sorted values, their
     number ``n`` and a within-sample tie flag."""
@@ -411,10 +417,7 @@ class Empirical(Distribution):
     def quantile(self, t):
         """Order statistic ``values[ceil(n t)]`` (1-indexed)."""
         t, scalar = _as_prob_array(t)
-        tj = np.atleast_1d(np.asarray(t, dtype=float))
-        idx = np.ceil(self.n * tj).astype(np.int64)
-        idx = np.clip(idx, 1, self.n)
-        out = self.values[idx - 1]
+        out = self.values[_order_index(self.n, np.atleast_1d(t))]
         return _maybe_scalar(out if not scalar else out[0], scalar)
 
     def sample(self, n: int, seed: SeedSpec | int) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, Empirical
+from .distributions import Distribution, Empirical, _order_index
 from .errors import DomainError, NumericError, ParameterError
 
 __all__ = [
@@ -94,6 +94,68 @@ def _default_grid(grid: GridSpec | None) -> GridSpec:
     return grid if grid is not None else GridSpec()
 
 
+# Batched kernel calls run over chunks of rows holding about this many
+# elements: bounded memory, and cache-sized temporaries ran fastest.
+_CHUNK_ELEMENTS = 1 << 15
+
+
+def _y_below_x(xo: np.ndarray, yo: np.ndarray) -> np.ndarray:
+    """#{j : y_j < x_i} for each x_i of sorted rows xo (..., n) and
+    yo (..., m).  The stable merge puts x_i behind the y's below it and
+    before those equal to it, at position p_i = i + #{y < x_i}."""
+    n = xo.shape[-1]
+    order = np.argsort(np.concatenate((xo, yo), axis=-1), axis=-1,
+                       kind="stable")
+    # the rows' x's, in sorted order: n per row
+    p = np.flatnonzero(order < n).reshape(xo.shape) % order.shape[-1]
+    return p - np.arange(n)
+
+
+def _sorted_index(kind: str, xo: np.ndarray, yo: np.ndarray,
+                  grid: GridSpec | None = None):
+    """``kind`` ("gamma", "rho" or "pi") of sorted samples xo (..., n)
+    and yo (..., m), one value per row; a leading batch axis runs in
+    chunks of rows.  Gamma counts the points of ``grid`` or, with
+    ``grid=None``, exactly: it weighs the comparisons on the pieces
+    between breakpoints, where both order indices are constant, by their
+    integer lengths (a sum exact below 2**53)."""
+    n, m = xo.shape[-1], yo.shape[-1]
+    if kind == "rho":
+        def kernel(a, b):
+            return _y_below_x(a, b).sum(axis=-1) / (n * m)
+    elif kind == "pi":
+        # G_m - F_n peaks where a run of y's ends: just below some x_i,
+        # at #{y < x_i}/m - i/n (>= 0 for i = 0), or above both samples
+        def kernel(a, b):
+            return (_y_below_x(a, b) / m - np.arange(n) / n).max(axis=-1)
+    else:
+        if grid is not None:
+            ts = grid.interior()
+            ix, iy = _order_index(n, ts), _order_index(m, ts)
+            w, denom = np.ones(ts.size), ts.size
+        elif n == m:
+            # the breakpoints {i/n} and {j/m} coincide: the pieces are
+            # the n ranks, compared in place
+            ix = iy = slice(None)
+            w, denom = np.ones(n), n
+        else:
+            # the breakpoints {i/n} u {j/m} in units of 1/(nm), each once
+            ends = np.arange(1, m + 1) * n
+            ends = np.sort(np.concatenate((np.arange(1, n + 1) * m,
+                                           ends[ends % m > 0])),
+                           kind="stable")
+            ix, iy = (ends - 1) // m, (ends - 1) // n
+            w, denom = np.diff(ends, prepend=0).astype(float), n * m
+
+        def kernel(a, b):
+            return (a[..., ix] > b[..., iy]) @ w / denom
+    if xo.ndim == 1:
+        return kernel(xo, yo)
+    rows = max(1, _CHUNK_ELEMENTS // (n + m))
+    return np.concatenate([kernel(xo[i:i + rows], yo[i:i + rows])
+                           for i in range(0, xo.shape[0], rows)])
+
+
 def gamma_index(F: Distribution, G: Distribution,
                 grid: GridSpec | None = None) -> float:
     """Proportion of interior grid points where F's quantile strictly
@@ -120,8 +182,7 @@ def rho_index(F: Distribution, G: Distribution,
     G(F^{-1}(t)-), the quantile-composition form of int G(x-) dF(x).
     """
     if isinstance(F, Empirical) and isinstance(G, Empirical):
-        counts = np.searchsorted(G.values, F.values, side="left")
-        return float(counts.sum() / (F.n * G.n))
+        return float(_sorted_index("rho", F.values, G.values))
     grid = _default_grid(grid)
     ts = grid.interior()
     return float(np.mean(_cdf_left(G, F.quantile(ts))))
@@ -173,10 +234,7 @@ def pi_index(F: Distribution, G: Distribution) -> float:
     """
     f_emp, g_emp = isinstance(F, Empirical), isinstance(G, Empirical)
     if f_emp and g_emp:
-        z = np.unique(np.concatenate((F.values, G.values)))
-        right = np.asarray(G.cdf(z)) - np.asarray(F.cdf(z))
-        left = _cdf_left(G, z) - _cdf_left(F, z)
-        return float(max(0.0, right.max(), left.max()))
+        return float(_sorted_index("pi", F.values, G.values))
     if f_emp and not g_emp:
         # G continuous: on [z_i, z_{i+1}) the gap rises toward the next
         # jump, so the sup is approached at F's atoms from the left.
@@ -222,11 +280,15 @@ def epsilon_index(F: Distribution, G: Distribution) -> float | None:
     "undefined", never as zero.
     """
     if isinstance(F, Empirical) and isinstance(G, Empirical):
-        z = np.unique(np.concatenate((F.values, G.values)))
-        d = np.asarray(G.cdf(z)) - np.asarray(F.cdf(z))
+        z = np.concatenate((F.values, G.values))
+        order = np.argsort(z, kind="stable")
+        z, cy = z[order], np.cumsum(order >= F.n)
+        # G - F after each merged value, up to the next larger one
         dz = np.diff(z)
-        pos = float(np.sum(np.maximum(d[:-1], 0.0) * dz))
-        tot = float(np.sum(np.abs(d[:-1]) * dz))
+        d = (cy / G.n - (np.arange(1, z.size + 1) - cy) / F.n)[:-1][dz > 0]
+        dz = dz[dz > 0]
+        pos = float(np.sum(np.maximum(d, 0.0) * dz))
+        tot = float(np.sum(np.abs(d) * dz))
     else:
         knots = _support_knots(F, G)
         lo, hi = knots[:-1], knots[1:]

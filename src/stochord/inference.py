@@ -15,7 +15,7 @@ import numpy as np
 
 from .distributions import Distribution, Empirical
 from .errors import DomainError, NumericError
-from .indices import GridSpec, gamma_index, pi_index
+from .indices import GridSpec, _sorted_index, gamma_index, pi_index
 from .rng import SeedSpec, as_seed
 
 __all__ = [
@@ -24,8 +24,6 @@ __all__ = [
     "CrossingSpec",
     "galton_test",
     "gamma_plugin",
-    "rho_plugin",
-    "pi_plugin",
     "bootstrap_sd",
     "gamma_threshold_test",
     "gamma_limit_variance",
@@ -69,17 +67,6 @@ def galton_test(xs, ys) -> GaltonResult:
     return GaltonResult(count, (count + 1) / (n + 1), tie)
 
 
-def _gamma_segments(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Breakpoint segments of (0,1) on which both empirical quantiles
-    are constant, with the order-statistic index active on each."""
-    breaks = np.union1d(np.arange(1, n + 1) / n, np.arange(1, m + 1) / m)
-    lengths = np.diff(np.concatenate(([0.0], breaks)))
-    mids = np.concatenate(([0.0], breaks))[:-1] + 0.5 * lengths
-    ix = np.ceil(n * mids).astype(np.int64).clip(1, n) - 1
-    iy = np.ceil(m * mids).astype(np.int64).clip(1, m) - 1
-    return lengths, ix, iy
-
-
 def gamma_plugin(xs, ys, grid: GridSpec | None = None) -> float:
     """Plug-in gamma: the measure of {t : F_n^{-1}(t) > G_m^{-1}(t)}.
 
@@ -87,37 +74,13 @@ def gamma_plugin(xs, ys, grid: GridSpec | None = None) -> float:
     order-statistic breakpoints (for n = m this equals the Galton count
     divided by n, the rank-aligned grid value).  Passing a grid counts
     interior grid points instead, matching ``gamma_index`` on the two
-    empirical distributions.
+    empirical distributions.  The rho and pi plug-ins are ``rho_index``
+    and ``pi_index`` on two ``Empirical`` models.
     """
     xs, ys = _as_sample(xs, "xs"), _as_sample(ys, "ys")
     if grid is not None:
         return gamma_index(Empirical(xs), Empirical(ys), grid)
-    n, m = xs.size, ys.size
-    xo, yo = np.sort(xs), np.sort(ys)
-    if n == m:
-        return float(np.mean(xo > yo))
-    lengths, ix, iy = _gamma_segments(n, m)
-    return float(np.sum(lengths * (xo[ix] > yo[iy])))
-
-
-def rho_plugin(xs, ys) -> float:
-    """Exact Mann-Whitney proportion (1/nm) sum_i #{j : y_j < x_i}."""
-    xs, ys = _as_sample(xs, "xs"), _as_sample(ys, "ys")
-    yo = np.sort(ys)
-    return float(np.searchsorted(yo, xs, side="left").sum()
-                 / (xs.size * ys.size))
-
-
-def pi_plugin(xs, ys) -> float:
-    """Exact one-sided KS statistic sup_x (G_m(x) - F_n(x))."""
-    xs, ys = _as_sample(xs, "xs"), _as_sample(ys, "ys")
-    xo, yo = np.sort(xs), np.sort(ys)
-    z = np.union1d(xo, yo)
-    gap = (np.searchsorted(yo, z, side="right") / yo.size
-           - np.searchsorted(xo, z, side="right") / xo.size)
-    gap_left = (np.searchsorted(yo, z, side="left") / yo.size
-                - np.searchsorted(xo, z, side="left") / xo.size)
-    return float(max(0.0, gap.max(), gap_left.max()))
+    return float(_sorted_index("gamma", np.sort(xs), np.sort(ys)))
 
 
 def bootstrap_sd(xs, ys, index_kind: str = "gamma", B: int = 1000,
@@ -138,23 +101,9 @@ def bootstrap_sd(xs, ys, index_kind: str = "gamma", B: int = 1000,
     n, m = xs.size, ys.size
     bx = xs[rng.integers(0, n, size=(B, n))]
     by = ys[rng.integers(0, m, size=(B, m))]
-    if index_kind == "gamma" and grid is None:
-        bx.sort(axis=1)
-        by.sort(axis=1)
-        if n == m:
-            vals = np.mean(bx > by, axis=1)
-        else:
-            lengths, ix, iy = _gamma_segments(n, m)
-            vals = (bx[:, ix] > by[:, iy]) @ lengths
-    elif index_kind == "gamma":
-        vals = np.array([gamma_plugin(bx[b], by[b], grid) for b in range(B)])
-    elif index_kind == "rho":
-        bx.sort(axis=1)
-        by.sort(axis=1)
-        vals = np.array([np.searchsorted(by[b], bx[b], side="left").sum()
-                         for b in range(B)]) / (n * m)
-    else:
-        vals = np.array([pi_plugin(bx[b], by[b]) for b in range(B)])
+    bx.sort(axis=1)
+    by.sort(axis=1)
+    vals = _sorted_index(index_kind, bx, by, grid)
     return float(np.std(vals, ddof=1))
 
 

@@ -46,14 +46,22 @@ def load_sample_csv(path: str | os.PathLike, column: int | str = 0,
     ``column`` is a zero-based index, or a column name when ``header`` is
     true.  Fields are comma-separated and may be double-quoted; blank
     lines are skipped.  Raises DataError with the offending line number
-    for anything that is not a finite float, for negative column indices
-    and for empty files.
+    for anything that is not a finite float, and without one for
+    negative column indices, empty files, bytes that do not decode and
+    rows the csv module rejects (such as a field over its size limit).
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"sample file not found: {path}")
     if not isinstance(column, str) and int(column) < 0:
         raise DataError(f"column index must be nonnegative, got {column}")
+    try:
+        return _read_column(path, column, header)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: unreadable CSV: {exc}") from None
+
+
+def _read_column(path: Path, column: int | str, header: bool) -> np.ndarray:
     with open(path, newline="") as fh:
         col_idx = _column_index(path, csv.reader(fh), column, header)
         values = _parse_column(fh, col_idx)

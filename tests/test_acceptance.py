@@ -15,9 +15,8 @@ from stochord import (Empirical, GridSpec, Normal, NormalMixture, SeedSpec,
                       builtin_scenarios, epsilon_index, find_crossings,
                       galton_test, gamma_index, gamma_limit_variance,
                       gamma_plugin, nonconsistency_demo, occupation_positive,
-                      optimal_copula_eval, pi_index, pi_plugin,
-                      rearranged_quantile, rho_index, rho_plugin, run_table,
-                      vartheta_index)
+                      optimal_copula_eval, pi_index, rearranged_quantile,
+                      rho_index, run_table, vartheta_index)
 from stochord.cli import main
 
 
@@ -209,10 +208,12 @@ def test_criterion_09_invariance_suite():
     for _ in range(20):
         xs = rng.normal(rng.uniform(-1, 1), rng.uniform(0.5, 2), 35)
         ys = rng.normal(rng.uniform(-1, 1), rng.uniform(0.5, 2), 47)
+        F, G = Empirical(xs), Empirical(ys)
         for T in (lambda v: 2.0 * v + 1.0, np.exp):
+            TF, TG = Empirical(T(xs)), Empirical(T(ys))
             bit_ok &= gamma_plugin(T(xs), T(ys)) == gamma_plugin(xs, ys)
-            bit_ok &= rho_plugin(T(xs), T(ys)) == rho_plugin(xs, ys)
-            bit_ok &= pi_plugin(T(xs), T(ys)) == pi_plugin(xs, ys)
+            bit_ok &= rho_index(TF, TG) == rho_index(F, G)
+            bit_ok &= pi_index(TF, TG) == pi_index(F, G)
 
     # epsilon: affine-invariant, not cubic-invariant
     xs = rng.normal(0.5, 1.0, 80)
@@ -230,9 +231,10 @@ def test_criterion_09_invariance_suite():
                        rng.integers(20, 60))
         b = rng.normal(rng.uniform(-1, 1), rng.uniform(0.5, 2),
                        rng.integers(20, 60))
-        pi_hat = pi_plugin(a, b)
+        Ea, Eb = Empirical(a), Empirical(b)
+        pi_hat = pi_index(Ea, Eb)
         chain_ok &= pi_hat <= gamma_plugin(a, b) + 1e-12
-        chain_ok &= pi_hat <= rho_plugin(a, b) + 1e-12
+        chain_ok &= pi_hat <= rho_index(Ea, Eb) + 1e-12
     grid = GridSpec(1001)
     slack = 2 / 999 + 1e-9
     sum_ok = True

@@ -223,3 +223,19 @@ def test_negative_column_rejected(tmp_path):
     # -3 on a 2-field row must not escape as an IndexError
     with pytest.raises(DataError, match="column index must be nonnegative"):
         load_sample_csv(path, column=-3)
+
+
+def test_undecodable_bytes_raise_data_error(tmp_path):
+    path = tmp_path / "sample.csv"
+    path.write_bytes(b"1.5\n\xff\xfe\n")
+    with pytest.raises(DataError,
+                       match=r"sample\.csv: unreadable CSV: .* decode"):
+        load_sample_csv(path)
+
+
+def test_field_over_csv_limit_with_bad_cell_raises_data_error(tmp_path):
+    # loadtxt reads the long field; the bad cell then sends the file to
+    # the csv-module row loop, which rejects the field
+    path = _write(tmp_path, "1.0\n" + "1" * 140_000 + "\nabc\n")
+    with pytest.raises(DataError, match="field larger than field limit"):
+        load_sample_csv(path)
