@@ -78,10 +78,6 @@ class SubsetSpec:
             prev_end = b
 
     @classmethod
-    def full(cls) -> "SubsetSpec":
-        return cls(((0.0, 1.0),))
-
-    @classmethod
     def parse(cls, text: str) -> "SubsetSpec":
         """Parse 'a:b,c:d' into a SubsetSpec."""
         parts = []
@@ -168,12 +164,9 @@ class _PiecewiseShiftQuantile(Distribution):
                           "non-smooth law; density not provided")
 
     def sample(self, n: int, seed: SeedSpec | int) -> np.ndarray:
-        rng = as_seed(seed).generator()
-        return self.quantile_from_uniform(rng.random(int(n)))
-
-    def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
-        u = np.clip(u, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
-        return np.asarray(self.quantile(u))
+        u = as_seed(seed).generator().random(int(n))
+        return self.quantile(np.clip(u, np.nextafter(0.0, 1.0),
+                                     np.nextafter(1.0, 0.0)))
 
     def to_json(self) -> dict:
         return {"kind": "piecewise-shift", "breaks": list(self.breaks),

@@ -78,7 +78,7 @@ def _load_model(path: str) -> Distribution:
     if p.suffix.lower() == ".json":
         try:
             desc = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{p}: invalid JSON ({exc})") from None
         return from_descriptor(desc, base_dir=p.parent)
     return Empirical(load_sample_csv(p), csv_path=str(p))
@@ -107,8 +107,7 @@ def emit_quantile_table(F: Distribution, G: Distribution, grid: GridSpec,
 
     from .io_utils import atomic_write_csv
     m = grid.points
-    ts = (np.arange(m) / (m - 1) if grid.kind == "uniform"
-          else grid.interior())
+    ts = np.arange(m) / (m - 1)
     qf = _quantile_extended(F, ts)
     qg = _quantile_extended(G, ts)
     rows = [[float(t), float(a), float(b), int(a > b)]

@@ -330,16 +330,19 @@ class NormalMixture(Distribution):
         self._m = np.array([c[1] for c in comps])
         self._s = np.array([c[2] for c in comps])
 
+    # Both sum the components one at a time, elementwise, so that a
+    # value does not depend on the array it is computed in (a matrix
+    # product rounds differently with the array's length).
     def cdf(self, x):
         from scipy.special import ndtr
         x = np.asarray(x, dtype=float)
-        z = (x[..., None] - self._m) / self._s
-        return _maybe_scalar(ndtr(z) @ self._w, x.ndim == 0)
+        return _maybe_scalar(sum(w * ndtr((x - m) / s)
+                                 for w, m, s in self.components), x.ndim == 0)
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
-        z = (x[..., None] - self._m) / self._s
-        return _maybe_scalar(_phi(z) @ (self._w / self._s), x.ndim == 0)
+        return _maybe_scalar(sum(w / s * _phi((x - m) / s)
+                                 for w, m, s in self.components), x.ndim == 0)
 
     def quantile(self, t):
         t, scalar = _as_prob_array(t)
@@ -460,4 +463,6 @@ def from_descriptor(obj: dict, base_dir: str | Path | None = None) -> Distributi
             raise DataError("empirical descriptor needs 'csv' or 'values'")
     except KeyError as exc:
         raise DataError(f"model descriptor missing field {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"model descriptor has an invalid field ({exc})") from None
     raise DataError(f"unknown model kind {kind!r}")

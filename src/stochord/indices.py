@@ -48,46 +48,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Evaluation grid on (0,1).
-
-    ``uniform`` grids place ``points`` values t_j = j/(points-1),
-    j = 0..points-1, and all counting happens on the interior points
-    only.  ``rank`` grids place the n midpoints (2i-1)/(2n); with two
-    samples of equal size n they align gamma counting exactly with rank
-    comparison of order statistics.
-    """
+    """Evaluation grid on (0,1): ``points`` values t_j = j/(points-1),
+    j = 0..points-1; all counting happens on the interior points only."""
 
     points: int = 1001
-    kind: str = "uniform"
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "rank"):
-            raise ParameterError(f"unknown grid kind {self.kind!r}")
-        min_pts = 3 if self.kind == "uniform" else 1
-        if int(self.points) != self.points or self.points < min_pts:
-            raise ParameterError(f"grid needs at least {min_pts} points")
-
-    @classmethod
-    def rank_aligned(cls, n: int) -> "GridSpec":
-        return cls(points=int(n), kind="rank")
+        if int(self.points) != self.points or self.points < 3:
+            raise ParameterError("grid needs at least 3 points")
 
     @property
     def interior_count(self) -> int:
-        return self.points - 2 if self.kind == "uniform" else self.points
+        return self.points - 2
 
     def interior(self) -> np.ndarray:
-        if self.kind == "uniform":
-            m = self.points
-            return np.arange(1, m - 1, dtype=float) / (m - 1)
-        n = self.points
-        return (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
+        m = self.points
+        return np.arange(1, m - 1, dtype=float) / (m - 1)
 
     def to_json(self) -> dict:
-        return {"points": self.points, "kind": self.kind}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GridSpec":
-        return cls(points=int(obj["points"]), kind=obj.get("kind", "uniform"))
+        return {"points": self.points, "kind": "uniform"}
 
 
 def _default_grid(grid: GridSpec | None) -> GridSpec:
@@ -407,7 +386,7 @@ class IndexReport:
     def to_csv_row(self) -> list:
         return [self.gamma, self.rho, self.pi, self.vartheta,
                 "" if self.epsilon is None else self.epsilon,
-                self.epsilon_defined, self.grid.points, self.grid.kind,
+                self.epsilon_defined, self.grid.points, "uniform",
                 self.tie_flag]
 
 

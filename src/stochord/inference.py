@@ -190,10 +190,6 @@ class CrossingSpec:
             raise DomainError("crossing levels must be strictly increasing "
                               "inside (0, 1)")
 
-    def to_json(self) -> dict:
-        return {"t": list(self.t), "x": list(self.x), "f": list(self.f),
-                "g": list(self.g), "lambda": self.lam}
-
 
 def gamma_limit_variance(cross: CrossingSpec) -> float:
     """Variance of the normal limit of the centered gamma plug-in.
@@ -219,57 +215,73 @@ def gamma_limit_variance(cross: CrossingSpec) -> float:
     return float(var)
 
 
+# Levels t_j = j/20002 on which find_crossings brackets the crossings.
+_CROSSING_GRID = np.arange(1, 20002) / 20002
+
+
+def _excess_sign(F: Distribution, G: Distribution, x: np.ndarray) -> np.ndarray:
+    """sign(G(x) - F(x)): at x = F^{-1}(t) it is the sign of
+    F^{-1}(t) - G^{-1}(t) (F continuous, G strictly increasing)."""
+    return np.sign(np.asarray(G.cdf(x)) - np.asarray(F.cdf(x)))
+
+
 def find_crossings(F: Distribution, G: Distribution, lam: float,
-                   coarse: int = 20001, refine_iters: int = 60,
                    min_rel_gap: float = 0.0) -> tuple[CrossingSpec, float]:
     """Locate sign changes of F^{-1} - G^{-1} and the exact gamma.
 
+    The search runs in x-space, where the crossings are the roots of
+    G(x) - F(x): at x = F^{-1}(t), F^{-1}(t) > G^{-1}(t) iff G(x) > F(x).
+    The sign of G(x) - F(x) at the quantiles x_j = F^{-1}(t_j) of the
+    grid ``_CROSSING_GRID`` brackets each sign change between consecutive
+    grid points where it is nonzero (it can vanish on a whole run of them,
+    e.g. symmetric pairs at t = 1/2).  All brackets are then bisected
+    together, each until its ends are adjacent doubles, and a crossing
+    sits at x, at level t = F(x).
+
     Returns a CrossingSpec (with densities evaluated at the crossings)
-    plus the measure of {t : F^{-1}(t) > G^{-1}(t)} computed from the
-    refined crossing levels, so gamma carries refinement error ~1e-12
-    rather than grid error.  ``min_rel_gap`` > 0 raises NumericError
-    when any crossing has |f - g| below that relative size.
+    plus the measure of {t : F^{-1}(t) > G^{-1}(t)}: the summed length of
+    the t-intervals between crossings whose grid sign is positive, so
+    gamma carries the crossings' rounding error rather than grid error.
+    ``min_rel_gap`` > 0 raises NumericError when any crossing has
+    |f - g| below that relative size.
     """
-    ts = np.arange(1, coarse + 1) / (coarse + 1)
-    diff = np.asarray(F.quantile(ts)) - np.asarray(G.quantile(ts))
-    sign = np.sign(diff)
-    # Skip exact zeros (the difference can vanish on a whole run of grid
-    # points, e.g. symmetric pairs at t = 1/2) and bracket sign changes
-    # between consecutive nonzero points.
-    nz = np.nonzero(sign)[0]
-    flip_pairs = [(nz[k], nz[k + 1]) for k in range(nz.size - 1)
-                  if sign[nz[k]] * sign[nz[k + 1]] < 0]
-    cross_t = []
-    for i, j in flip_pairs:
-        lo, hi = ts[i], ts[j]
-        flo = sign[i]
-        for _ in range(refine_iters):
-            mid = 0.5 * (lo + hi)
-            fm = float(F.quantile(mid) - G.quantile(mid))
-            if np.sign(fm) == flo:
-                lo = mid
-            else:
-                hi = mid
-        cross_t.append(0.5 * (lo + hi))
-    # gamma: intervals between crossings carry constant sign
-    edges = np.concatenate(([0.0], cross_t, [1.0]))
-    gamma = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
+    xg = np.asarray(F.quantile(_CROSSING_GRID))
+    sign = _excess_sign(F, G, xg)
+    nz = np.flatnonzero(sign)
+    flip = np.flatnonzero(sign[nz[:-1]] != sign[nz[1:]])
+    lo, hi = xg[nz[flip]], xg[nz[flip + 1]]
+    side = sign[nz[flip]]
+    active = np.arange(flip.size)
+    while active.size:
+        a, b = lo[active], hi[active]
         mid = 0.5 * (a + b)
-        if float(F.quantile(mid) - G.quantile(mid)) > 0.0:
-            gamma += b - a
-    xs = [float(F.quantile(t)) for t in cross_t]
-    fs = [float(F.density(x)) for x in xs]
-    gs = [float(G.density(x)) for x in xs]
+        live = (a < mid) & (mid < b)
+        active, a, b, mid = active[live], a[live], b[live], mid[live]
+        keep = _excess_sign(F, G, mid) == side[active]
+        lo[active] = np.where(keep, mid, a)
+        hi[active] = np.where(keep, b, mid)
+    x = 0.5 * (lo + hi)
+    t = np.asarray(F.cdf(x))
+    # the sign is constant between crossings: that of the first nonzero
+    # grid point above each crossing, and below the first crossing
+    first = nz[np.concatenate(([0], flip + 1))] if nz.size else [0]
+    edges = np.concatenate(([0.0], t, [1.0]))
+    gamma = float(np.diff(edges)[sign[first] > 0].sum())
+    # a model without a density (empirical) still passes when nothing
+    # crosses
+    f = np.asarray(F.density(x)) if x.size else x
+    g = np.asarray(G.density(x)) if x.size else x
     if min_rel_gap > 0.0:
-        for x, fv, gv in zip(xs, fs, gs):
-            if abs(fv - gv) < min_rel_gap * max(fv, gv):
-                raise NumericError(
-                    f"crossing at x={x}: densities {fv} and {gv} are too "
-                    "close (assumption A1 violated)")
-    spec = CrossingSpec(t=tuple(cross_t), x=tuple(xs), f=tuple(fs),
-                        g=tuple(gs), lam=float(lam))
-    return spec, float(gamma)
+        close = np.abs(f - g) < min_rel_gap * np.maximum(f, g)
+        if close.any():
+            k = np.argmax(close)
+            raise NumericError(
+                f"crossing at x={x[k]}: densities {f[k]} and {g[k]} are too "
+                "close (assumption A1 violated)")
+    spec = CrossingSpec(t=tuple(t.tolist()), x=tuple(x.tolist()),
+                        f=tuple(f.tolist()), g=tuple(g.tolist()),
+                        lam=float(lam))
+    return spec, gamma
 
 
 def pi_limit_sample(F: Distribution, G: Distribution, lam: float,

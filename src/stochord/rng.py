@@ -46,15 +46,11 @@ class SeedSpec:
     def to_json(self) -> dict:
         return {"master": self.master, "path": list(self.path)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "SeedSpec":
-        return cls(int(obj["master"]), tuple(int(k) for k in obj.get("path", ())))
 
-
-def as_seed(seed: "SeedSpec | int | None", default_master: int = 0) -> SeedSpec:
-    """Coerce an int or None into a SeedSpec (None means the default master)."""
+def as_seed(seed: "SeedSpec | int | None") -> SeedSpec:
+    """Coerce an int or None into a SeedSpec (None means master seed 0)."""
     if seed is None:
-        return SeedSpec(default_master)
+        return SeedSpec(0)
     if isinstance(seed, SeedSpec):
         return seed
     return SeedSpec(int(seed))

@@ -8,7 +8,6 @@ reversed orientation gives 1 - gamma).
 """
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -40,10 +39,6 @@ class Scenario:
     F: Distribution
     G: Distribution
     nominal_gamma: float
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "f": self.F.to_json(),
-                "g": self.G.to_json(), "nominal_gamma": self.nominal_gamma}
 
 
 def builtin_scenarios() -> dict[str, Scenario]:
@@ -92,10 +87,9 @@ class ExperimentResult:
     proportion: float
     mc_se: float
     seed: SeedSpec
-    wall_clock: float
 
-    def to_json(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "scenario": self.scenario,
             "gamma0": self.gamma0,
             "n": self.n,
@@ -107,9 +101,6 @@ class ExperimentResult:
             "mc_se": self.mc_se,
             "seed": self.seed.to_json(),
         }
-        if include_timing:
-            out["wall_clock_seconds"] = self.wall_clock
-        return out
 
     @staticmethod
     def csv_header() -> list[str]:
@@ -134,7 +125,6 @@ def run_table1_cell(scenario: Scenario, gamma0: float, n: int, reps: int,
     if reps < 1:
         raise DomainError("reps must be >= 1")
     seed = as_seed(seed)
-    start = time.perf_counter()
     rejects = np.zeros(reps, dtype=bool)
 
     def one(r: int) -> None:
@@ -144,19 +134,14 @@ def run_table1_cell(scenario: Scenario, gamma0: float, n: int, reps: int,
                                    seed=seed.child(r, 2))
         rejects[r] = res.reject
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(reps)))
-    else:
-        for r in range(reps):
-            one(r)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(one, range(reps)))
     k = int(rejects.sum())
     p = k / reps
     return ExperimentResult(
         scenario=scenario.name, gamma0=gamma0, n=n, reps=reps, B=B,
         alpha=alpha, rejections=k, proportion=p,
-        mc_se=float(np.sqrt(p * (1.0 - p) / reps)), seed=seed,
-        wall_clock=time.perf_counter() - start)
+        mc_se=float(np.sqrt(p * (1.0 - p) / reps)), seed=seed)
 
 
 def run_table(cells, reps: int, B: int, alpha: float = 0.05,

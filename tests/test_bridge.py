@@ -90,7 +90,6 @@ def test_subset_spec_parse_and_contains():
     assert s.length == pytest.approx(0.4)
     mask = s.contains(np.array([0.0, 0.2, 0.5, 0.7, 0.9]))
     assert list(mask) == [False, True, False, True, False]
-    assert SubsetSpec.full().length == 1.0
 
 
 def test_subset_spec_validation():

@@ -129,16 +129,62 @@ def test_simulate_table_thread_invariance_bytes(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_rerun_reproduces_bytes(tmp_path, normal_pair):
-    f, g = normal_pair
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
-        assert main(["indices", "--f", f, "--g", g, "--quantile-table",
-                     "--out", str(out)]) == 0
-    assert (a / "indices.json").read_bytes() == (b / "indices.json").read_bytes()
-    assert (a / "indices.csv").read_bytes() == (b / "indices.csv").read_bytes()
-    assert (a / "quantile_table.csv").read_bytes() \
-        == (b / "quantile_table.csv").read_bytes()
+MIXTURE = {"kind": "mixture", "components": [
+    {"w": 0.03, "mean": -4.0, "sd": 1.0}, {"w": 0.97, "mean": 1.0, "sd": 1.0}]}
+
+# one small configuration per subcommand; {f}/{g} are model files (a
+# normal and a mixture), {x}/{y} sample CSVs
+RERUN_CONFIGS = {
+    "indices": ["indices", "--f", "{f}", "--g", "{g}", "--quantile-table"],
+    "galton": ["galton", "--x", "{x}", "--y", "{y}"],
+    "test-gamma": ["test-gamma", "--x", "{x}", "--y", "{y}", "--gamma0",
+                   "0.3", "--B", "50"],
+    "limit-law-gamma": ["limit-law", "--index", "gamma", "--f", "{f}",
+                        "--g", "{g}", "--n", "100", "--reps", "5"],
+    "limit-law-pi": ["limit-law", "--index", "pi", "--f", "{f}", "--g",
+                     "{g}", "--reps", "50", "--grid", "201"],
+    "bridge-lab-occupation": ["bridge-lab", "--mode", "occupation",
+                              "--paths", "20", "--bridge-grid", "64"],
+    "bridge-lab-nonconsistency": ["bridge-lab", "--mode", "nonconsistency",
+                                  "--n", "100", "--reps", "10"],
+    "simulate-table": ["simulate-table", "--case", "2", "--variant", "mix",
+                       "--n", "40", "--reps", "4", "--B", "30"],
+}
+
+
+@pytest.mark.parametrize("name", list(RERUN_CONFIGS))
+def test_rerun_reproduces_bytes(tmp_path, sample_pair, name):
+    # every report but run_info.json is byte-identical across reruns
+    x, y = sample_pair
+    f = write_model(tmp_path, "f.json", {"kind": "normal", "mean": 0.0,
+                                         "sd": 1.5})
+    g = write_model(tmp_path, "g.json", MIXTURE)
+    argv = [a.format(f=f, g=g, x=x, y=y) for a in RERUN_CONFIGS[name]]
+    reports = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert main(argv + ["--seed", "7", "--out", str(out)]) == 0
+        reports.append({p.name: p.read_bytes() for p in out.iterdir()
+                        if p.name != "run_info.json"})
+    assert reports[0]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("content,code,error", [
+    (b'{"kind": "normal", "mean": 0, "sd": 1\xff}', 3, "DataError"),
+    (b'{"kind": "normal", "mean": "a", "sd": 1}', 3, "DataError"),
+    (b'{"kind": "empirical", "values": [1, "x"]}', 3, "DataError"),
+    (b'{"kind": "t1", "ncp": null}', 3, "DataError"),
+    (b'{"kind": "mixture", "components": 5}', 3, "DataError"),
+    (b'{"kind": "normal", "mean": 0, "sd": -1}', 2, "ParameterError"),
+], ids=["not-utf8", "string-mean", "string-value", "null-ncp",
+        "scalar-components", "negative-sd"])
+def test_bad_model_file_exit_code(tmp_path, capsys, content, code, error):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["indices", "--f", str(bad), "--g", str(bad),
+                 "--out", str(tmp_path / "out")]) == code
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == error
 
 
 def test_bridge_lab_occupation_files(tmp_path):

@@ -1,0 +1,96 @@
+"""`find_crossings` against the earlier t-space search.
+
+The x-space root search must find the same crossings as the oracle in
+`reference_crossings` on clean pairs (every density gap at least 0.1%
+relative, the limit-law experiment's requirement), and it must evaluate
+F's quantile once and G's never.
+"""
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from stochord import (NoncentralT1, Normal, NormalMixture, NumericError,
+                      find_crossings, gamma_limit_variance)
+
+from reference_crossings import find_crossings_reference
+
+means = st.floats(-5.0, 5.0)
+sds = st.floats(0.3, 3.0)
+
+
+@st.composite
+def normals(draw):
+    return Normal(draw(means), draw(sds))
+
+
+@st.composite
+def mixtures(draw):
+    w = draw(st.floats(0.02, 0.5))
+    return NormalMixture([(w, draw(means), draw(sds)),
+                          (1.0 - w, draw(means), draw(sds))])
+
+
+@st.composite
+def t1s(draw):
+    return NoncentralT1(draw(st.floats(-3.0, 3.0)))
+
+
+pairs = st.one_of(st.tuples(normals(), mixtures()),
+                  st.tuples(t1s(), normals()),
+                  st.tuples(mixtures(), t1s()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(pairs, st.floats(0.1, 0.9))
+def test_find_crossings_matches_reference(pair, lam):
+    F, G = pair
+    # keep the oracle off pairs whose quantile curves all but coincide:
+    # rounding noise would give it thousands of brackets to bisect one
+    # by one (and their crossings could not pass the density-gap check)
+    ts = np.arange(1, 20002) / 20002
+    sign = np.sign(F.quantile(ts) - G.quantile(ts))
+    sign = sign[sign != 0]
+    assume(np.count_nonzero(sign[1:] != sign[:-1]) <= 4)
+    try:
+        ref, ref_gamma = find_crossings_reference(F, G, lam, min_rel_gap=1e-3)
+    except NumericError:
+        assume(False)
+    cross, gamma = find_crossings(F, G, lam, min_rel_gap=1e-3)
+    assert len(cross.t) == len(ref.t)
+    assert np.allclose(cross.t, ref.t, rtol=0.0, atol=1e-12)
+    assert gamma == pytest.approx(ref_gamma, rel=0.0, abs=1e-12)
+    assert np.allclose(cross.x, ref.x, rtol=1e-10, atol=1e-12)
+    assert gamma_limit_variance(cross) == pytest.approx(
+        gamma_limit_variance(ref), rel=1e-10, abs=0.0)
+
+
+def test_find_crossings_one_quantile_call(monkeypatch):
+    F = Normal(0.0, 1.4135)
+    G = NormalMixture([(0.02, -4.0, 3.0), (0.98, 1.0, 1.0)])
+    calls = {"F": 0, "G": 0}
+
+    def counted(model, key):
+        quantile = model.quantile
+
+        def wrapper(t):
+            calls[key] += 1
+            return quantile(t)
+        return wrapper
+
+    monkeypatch.setattr(F, "quantile", counted(F, "F"))
+    monkeypatch.setattr(G, "quantile", counted(G, "G"))
+    cross, _ = find_crossings(F, G, lam=0.5)
+    assert len(cross.t) == 2
+    assert calls == {"F": 1, "G": 0}
+
+
+def test_find_crossings_same_law_has_none():
+    # equal halves make the mixture's CDF equal the normal's exactly, so
+    # x-space finds no sign at all; in t-space the two quantile routines
+    # differ by rounding noise, which made thousands of "crossings"
+    F = Normal(0.0, 1.0)
+    G = NormalMixture([(0.5, 0.0, 1.0), (0.5, 0.0, 1.0)])
+    cross, gamma = find_crossings(F, G, lam=0.5)
+    assert cross.t == ()
+    assert gamma == 0.0

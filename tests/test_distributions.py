@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from stochord import (DataError, DomainError, Empirical, NoncentralT1, Normal,
@@ -192,3 +194,37 @@ def test_empirical_sample_is_bootstrap_draw():
     d = Empirical([1.0, 2.0, 3.0])
     xs = d.sample(500, SeedSpec(3))
     assert set(np.unique(xs)) <= {1.0, 2.0, 3.0}
+
+
+@st.composite
+def models(draw):
+    """A model of each family with random parameters."""
+    kind = draw(st.sampled_from(["normal", "t1", "mixture", "empirical"]))
+    locs, scales = st.floats(-5.0, 5.0), st.floats(0.3, 3.0)
+    if kind == "normal":
+        return Normal(draw(locs), draw(scales))
+    if kind == "t1":
+        return NoncentralT1(draw(st.floats(-3.0, 3.0)))
+    if kind == "mixture":
+        w = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5))
+        return NormalMixture([(wi / sum(w), draw(locs), draw(scales))
+                              for wi in w])
+    return Empirical(draw(st.lists(locs, min_size=1, max_size=30)))
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(models(), st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=40),
+       st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=40))
+def test_values_do_not_depend_on_the_batch(model, xs, ts):
+    # an array's values equal, bit for bit, each element evaluated alone
+    xs, ts = np.array(xs), np.array(ts)
+    methods = [(model.cdf, xs), (model.quantile, ts)]
+    if not isinstance(model, Empirical):
+        methods.append((model.density, xs))
+    for method, args in methods:
+        alone = [method(float(a)) for a in args]
+        assert np.array_equal(_bits(method(args)), _bits(alone)), method

@@ -184,12 +184,8 @@ def test_copula_coupling_exceedance_mass():
 def test_grid_spec_validation_and_interior():
     with pytest.raises(ParameterError):
         GridSpec(2)
-    with pytest.raises(ParameterError):
-        GridSpec(1001, kind="log")
     g = GridSpec(11)
     assert np.allclose(g.interior(), np.arange(1, 10) / 10)
-    r = GridSpec(5, kind="rank")
-    assert np.allclose(r.interior(), (2 * np.arange(1, 6) - 1) / 10)
 
 
 def test_index_report_consistency_and_csv():

@@ -75,8 +75,6 @@ def test_gamma_plugin_equals_galton_count_fraction():
     xs, ys = rng.normal(size=25), rng.normal(0.3, 1.5, size=25)
     res = galton_test(xs, ys)
     assert gamma_plugin(xs, ys) == res.count / 25
-    grid = GridSpec(25, kind="rank")
-    assert gamma_plugin(xs, ys, grid) == res.count / 25
 
 
 def test_gamma_plugin_unequal_sizes_matches_fine_grid():

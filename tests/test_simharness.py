@@ -80,7 +80,6 @@ def test_experiment_result_json_timing_optional():
     s = builtin_scenarios()["case1-t"]
     r = run_table1_cell(s, 0.05, n=40, reps=5, B=30, seed=SeedSpec(5))
     assert "wall_clock_seconds" not in r.to_json()
-    assert r.to_json(include_timing=True)["wall_clock_seconds"] > 0.0
 
 
 def test_asymptotic_law_deterministic_and_centered():
