@@ -213,6 +213,8 @@ def nonconsistency_demo(F: Distribution | None = None,
     """
     if (F is None) != (G is None):
         raise DomainError("supply both F and G or neither")
+    if reps < 2:
+        raise DomainError(f"reps must be at least 2 for the sd, got {reps}")
     if F is None:
         F, G, gamma_true, gset = make_gamma_set_pair()
         gamma_set_length = gset.length

@@ -132,6 +132,12 @@ def _write_run_info(config: CommandConfig, started: float) -> None:
     })
 
 
+def _require_two(count: int, flag: str) -> None:
+    """Reports give the draws' standard deviation, which needs two."""
+    if count < 2:
+        raise DomainError(f"{flag} must be at least 2, got {count}")
+
+
 def _cmd_indices(config: CommandConfig) -> None:
     from .indices import GridSpec, index_report
     from .io_utils import atomic_write_csv, atomic_write_json
@@ -226,6 +232,7 @@ def _cmd_bridge_lab(config: CommandConfig) -> None:
     opt = config.options
     seed = SeedSpec(config.seed)
     if opt["mode"] == "occupation":
+        _require_two(opt["paths"], "--paths")
         subset = SubsetSpec.parse(opt["subset"]) if opt.get("subset") else None
         occ = np.empty(opt["paths"])
         for i in range(opt["paths"]):
@@ -256,12 +263,12 @@ def _cmd_bridge_lab(config: CommandConfig) -> None:
 
 
 def _cmd_limit_law(config: CommandConfig) -> None:
-    from .indices import GridSpec
     from .inference import pi_limit_sample
     from .io_utils import atomic_write_csv, atomic_write_json
     from .rng import SeedSpec
     from .simharness import asymptotic_law_experiment
     opt = config.options
+    _require_two(opt["reps"], "--reps")
     F = _load_model(opt["f"])
     G = _load_model(opt["g"])
     seed = SeedSpec(config.seed)
@@ -278,12 +285,13 @@ def _cmd_limit_law(config: CommandConfig) -> None:
             "provenance": _provenance(config),
         }
     else:
-        draws = pi_limit_sample(F, G, opt["lam"], opt.get("tolerance"),
-                                GridSpec(opt["grid"]), opt["reps"], seed)
+        draws, contact = pi_limit_sample(F, G, opt["lam"], opt["reps"], seed)
         payload = {
             "index": "pi",
             "lambda": opt["lam"],
             "n_paths": opt["reps"],
+            "contact_points": [{"G": float(u), "F": float(v)}
+                               for u, v in contact],
             "draw_mean": float(draws.mean()),
             "draw_variance": float(draws.var(ddof=1)),
             "provenance": _provenance(config),
@@ -411,9 +419,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=_positive(int), default=2000)
     p.add_argument("--lam", type=float, default=0.5,
                    help="sampling fraction for the pi limit")
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="contact-set tolerance for the pi limit")
-    p.add_argument("--grid", type=_positive(int), default=1001)
     common(p)
 
     return ap

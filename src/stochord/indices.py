@@ -20,7 +20,9 @@ sits from that relation:
 
 All evaluators accept any mix of the model families.  Pairs of
 empirical models use exact order-statistic computations; analytic pairs
-use the grid (gamma, rho) or adaptive refinement (pi, epsilon).
+use the grid (gamma, rho), the roots of g - f bisected to adjacent
+doubles (pi) or Gauss-Legendre quadrature between quantile knots
+(epsilon).
 """
 from __future__ import annotations
 
@@ -90,6 +92,15 @@ def _y_below_x(xo: np.ndarray, yo: np.ndarray) -> np.ndarray:
     return p - np.arange(n)
 
 
+def _sample_peaks(xo: np.ndarray, yo: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """#{y < x_i}/m and i/n, for sorted rows xo (..., n) and yo (..., m):
+    G_m - F_n peaks where a run of y's ends, just below some x_i (>= 0
+    for i = 0), or above both samples, where it is 0."""
+    n, m = xo.shape[-1], yo.shape[-1]
+    return _y_below_x(xo, yo) / m, np.arange(n) / n
+
+
 def _sorted_index(kind: str, xo: np.ndarray, yo: np.ndarray,
                   grid: GridSpec | None = None):
     """``kind`` ("gamma", "rho" or "pi") of sorted samples xo (..., n)
@@ -103,10 +114,9 @@ def _sorted_index(kind: str, xo: np.ndarray, yo: np.ndarray,
         def kernel(a, b):
             return _y_below_x(a, b).sum(axis=-1) / (n * m)
     elif kind == "pi":
-        # G_m - F_n peaks where a run of y's ends: just below some x_i,
-        # at #{y < x_i}/m - i/n (>= 0 for i = 0), or above both samples
         def kernel(a, b):
-            return (_y_below_x(a, b) / m - np.arange(n) / n).max(axis=-1)
+            u, v = _sample_peaks(a, b)
+            return (u - v).max(axis=-1)
     else:
         if grid is not None:
             ts = grid.interior()
@@ -174,58 +184,61 @@ def _tail_u_grid(n_core: int = 2048) -> np.ndarray:
     return np.unique(np.concatenate((core, tails, 1.0 - tails)))
 
 
-def _sup_gap_analytic(F: Distribution, G: Distribution,
-                      rounds: int = 4, top_k: int = 8) -> tuple[float, float]:
-    """sup_x (G(x) - F(x)) for two continuous models.
-
-    Candidates start at both models' quantiles over a tail-padded
-    probability grid (so the gap varies by at most ~1e-3 between
-    neighbors), then the neighborhoods of the leading local maxima are
-    subdivided a few times.  Returns (sup, argmax).
-    """
-    u = _tail_u_grid()
-    xs = np.unique(np.concatenate((F.quantile(u), G.quantile(u))))
-    best_x, best_d = xs[0], -np.inf
-    for _ in range(rounds):
-        d = np.asarray(G.cdf(xs)) - np.asarray(F.cdf(xs))
-        i = int(np.argmax(d))
-        if d[i] > best_d:
-            best_d, best_x = float(d[i]), float(xs[i])
-        interior = np.arange(1, xs.size - 1)
-        is_peak = (d[interior] >= d[interior - 1]) & (d[interior] >= d[interior + 1])
-        peaks = interior[is_peak]
-        peaks = peaks[np.argsort(d[peaks])[::-1][:top_k]]
-        if peaks.size == 0:
-            peaks = np.array([i], dtype=int)
-        pieces = [np.linspace(xs[max(p - 1, 0)], xs[min(p + 1, xs.size - 1)], 65)
-                  for p in peaks]
-        xs = np.unique(np.concatenate(pieces))
-    return max(best_d, 0.0), best_x
+def _sign_roots(h, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of a vectorized ``h`` at its sign changes on the sorted grid
+    ``xs`` (h can vanish on a whole run of grid points), all bisected
+    together until each bracket's ends are adjacent doubles.  Returns
+    the roots and the sign of h on the pieces between them: that of the
+    first nonzero grid point above each root, and below the first (0 if
+    h vanishes on the whole grid)."""
+    sign = np.sign(h(xs))
+    nz = np.flatnonzero(sign)
+    flip = np.flatnonzero(sign[nz[:-1]] != sign[nz[1:]])
+    lo, hi = xs[nz[flip]], xs[nz[flip + 1]]
+    side = sign[nz[flip]]
+    active = np.arange(flip.size)
+    while active.size:
+        a, b = lo[active], hi[active]
+        mid = 0.5 * (a + b)
+        live = (a < mid) & (mid < b)
+        active, a, b, mid = active[live], a[live], b[live], mid[live]
+        keep = np.sign(h(mid)) == side[active]
+        lo[active] = np.where(keep, mid, a)
+        hi[active] = np.where(keep, b, mid)
+    first = nz[np.concatenate(([0], flip + 1))] if nz.size else [0]
+    return 0.5 * (lo + hi), sign[first]
 
 
-def pi_index(F: Distribution, G: Distribution) -> float:
-    """One-sided Kolmogorov-Smirnov departure sup_x (G(x) - F(x)).
-
-    Empirical pairs and empirical-vs-analytic pairs are evaluated
-    exactly at the step discontinuities (both one-sided limits);
-    analytic pairs by adaptive grid refinement with value error well
-    under 1e-6.
+def _gap_peaks(F: Distribution, G: Distribution
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """G and F, as arrays (u, v), at every candidate peak of G - F, with
+    the one-sided limits at which the gap peaks there, so that pi is
+    max(0, max(u - v)): just below F's atoms when F is a sample (the gap
+    rises toward each jump of F), else at G's atoms when G is one (it
+    decays after each jump of G), else at the roots of g - f where G - F
+    turns down, bracketed on both models' quantiles over a probability
+    grid reaching 1e-12 into each tail (beyond it the gap is <= 1e-12).
     """
     f_emp, g_emp = isinstance(F, Empirical), isinstance(G, Empirical)
     if f_emp and g_emp:
-        return float(_sorted_index("pi", F.values, G.values))
-    if f_emp and not g_emp:
-        # G continuous: on [z_i, z_{i+1}) the gap rises toward the next
-        # jump, so the sup is approached at F's atoms from the left.
-        z = F.values
-        return float(max(0.0, (np.asarray(G.cdf(z)) - _cdf_left(F, z)).max()))
-    if g_emp and not f_emp:
-        # F continuous: the gap decays after each of G's jumps, so the
-        # sup is attained at the atoms themselves.
-        z = G.values
-        return float(max(0.0, (np.asarray(G.cdf(z)) - np.asarray(F.cdf(z))).max()))
-    sup, _ = _sup_gap_analytic(F, G)
-    return sup
+        return _sample_peaks(F.values, G.values)
+    if f_emp or g_emp:
+        z = (F if f_emp else G).values
+        return np.asarray(G.cdf(z)), _cdf_left(F, z)
+    u = _tail_u_grid()
+    xs = np.unique(np.concatenate((F.quantile(u), G.quantile(u))))
+    roots, sign = _sign_roots(
+        lambda x: np.asarray(G.density(x)) - np.asarray(F.density(x)), xs)
+    x = roots[sign[:-1] > 0]
+    return np.asarray(G.cdf(x)), np.asarray(F.cdf(x))
+
+
+def pi_index(F: Distribution, G: Distribution) -> float:
+    """One-sided Kolmogorov-Smirnov departure sup_x (G(x) - F(x)),
+    exact over the candidate peaks of `_gap_peaks`: the steps' one-sided
+    limits for samples, the roots of g - f for two continuous models."""
+    u, v = _gap_peaks(F, G)
+    return float(np.max(u - v, initial=0.0))
 
 
 def vartheta_index(F: Distribution, G: Distribution) -> float:

@@ -15,7 +15,8 @@ import numpy as np
 
 from .distributions import Distribution, Empirical
 from .errors import DomainError, NumericError
-from .indices import GridSpec, _sorted_index, gamma_index, pi_index
+from .indices import (GridSpec, _gap_peaks, _sign_roots, _sorted_index,
+                      gamma_index)
 from .rng import SeedSpec, as_seed
 
 __all__ = [
@@ -219,12 +220,6 @@ def gamma_limit_variance(cross: CrossingSpec) -> float:
 _CROSSING_GRID = np.arange(1, 20002) / 20002
 
 
-def _excess_sign(F: Distribution, G: Distribution, x: np.ndarray) -> np.ndarray:
-    """sign(G(x) - F(x)): at x = F^{-1}(t) it is the sign of
-    F^{-1}(t) - G^{-1}(t) (F continuous, G strictly increasing)."""
-    return np.sign(np.asarray(G.cdf(x)) - np.asarray(F.cdf(x)))
-
-
 def find_crossings(F: Distribution, G: Distribution, lam: float,
                    min_rel_gap: float = 0.0) -> tuple[CrossingSpec, float]:
     """Locate sign changes of F^{-1} - G^{-1} and the exact gamma.
@@ -232,11 +227,10 @@ def find_crossings(F: Distribution, G: Distribution, lam: float,
     The search runs in x-space, where the crossings are the roots of
     G(x) - F(x): at x = F^{-1}(t), F^{-1}(t) > G^{-1}(t) iff G(x) > F(x).
     The sign of G(x) - F(x) at the quantiles x_j = F^{-1}(t_j) of the
-    grid ``_CROSSING_GRID`` brackets each sign change between consecutive
-    grid points where it is nonzero (it can vanish on a whole run of them,
-    e.g. symmetric pairs at t = 1/2).  All brackets are then bisected
-    together, each until its ends are adjacent doubles, and a crossing
-    sits at x, at level t = F(x).
+    grid ``_CROSSING_GRID`` brackets each sign change (it can vanish on a
+    whole run of grid points, e.g. symmetric pairs at t = 1/2), and
+    `_sign_roots` bisects the brackets to adjacent doubles.  A crossing
+    sits at the root x, at level t = F(x).
 
     Returns a CrossingSpec (with densities evaluated at the crossings)
     plus the measure of {t : F^{-1}(t) > G^{-1}(t)}: the summed length of
@@ -245,28 +239,12 @@ def find_crossings(F: Distribution, G: Distribution, lam: float,
     ``min_rel_gap`` > 0 raises NumericError when any crossing has
     |f - g| below that relative size.
     """
-    xg = np.asarray(F.quantile(_CROSSING_GRID))
-    sign = _excess_sign(F, G, xg)
-    nz = np.flatnonzero(sign)
-    flip = np.flatnonzero(sign[nz[:-1]] != sign[nz[1:]])
-    lo, hi = xg[nz[flip]], xg[nz[flip + 1]]
-    side = sign[nz[flip]]
-    active = np.arange(flip.size)
-    while active.size:
-        a, b = lo[active], hi[active]
-        mid = 0.5 * (a + b)
-        live = (a < mid) & (mid < b)
-        active, a, b, mid = active[live], a[live], b[live], mid[live]
-        keep = _excess_sign(F, G, mid) == side[active]
-        lo[active] = np.where(keep, mid, a)
-        hi[active] = np.where(keep, b, mid)
-    x = 0.5 * (lo + hi)
+    x, sign = _sign_roots(
+        lambda x: np.asarray(G.cdf(x)) - np.asarray(F.cdf(x)),
+        np.asarray(F.quantile(_CROSSING_GRID)))
     t = np.asarray(F.cdf(x))
-    # the sign is constant between crossings: that of the first nonzero
-    # grid point above each crossing, and below the first crossing
-    first = nz[np.concatenate(([0], flip + 1))] if nz.size else [0]
     edges = np.concatenate(([0.0], t, [1.0]))
-    gamma = float(np.diff(edges)[sign[first] > 0].sum())
+    gamma = float(np.diff(edges)[sign > 0].sum())
     # a model without a density (empirical) still passes when nothing
     # crosses
     f = np.asarray(F.density(x)) if x.size else x
@@ -285,44 +263,38 @@ def find_crossings(F: Distribution, G: Distribution, lam: float,
 
 
 def pi_limit_sample(F: Distribution, G: Distribution, lam: float,
-                    gamma_set_tolerance: float | None = None,
-                    grid: GridSpec | None = None, n_paths: int = 10000,
-                    seed: SeedSpec | int | None = None) -> np.ndarray:
+                    n_paths: int = 10000,
+                    seed: SeedSpec | int | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo draws from the limit law of the one-sided KS statistic.
 
     The limit is sup over the contact set Gamma(F,G) = {x : G(x) - F(x)
     = pi} of sqrt(lam) B1(G(x)) - sqrt(1-lam) B2(F(x)) with independent
-    bridges.  Gamma is discretized as the grid points whose gap is
-    within ``gamma_set_tolerance`` of the sup (default 1e-3 * pi), and
-    the bridges are sampled exactly at the resulting grids of G- and
-    F-values via Gaussian-increment walks.
+    bridges, sampled exactly via Gaussian-increment walks at the contact
+    points: the candidate peaks of `_gap_peaks` whose gap equals pi up
+    to rounding.  A smooth pair that peaks once, at x0, gives
+    N(0, lam G(1-G) + (1-lam) F(1-F)) at x0.  Returns the draws and the
+    contact points as rows (G(x), F(x)); pi = 0 leaves none (DomainError).
     """
     if not (0.0 < lam < 1.0):
         raise DomainError("lambda must lie in (0, 1)")
     if n_paths < 1:
         raise DomainError("n_paths must be positive")
-    grid = grid if grid is not None else GridSpec()
-    pi0 = pi_index(F, G)
-    tol = gamma_set_tolerance if gamma_set_tolerance is not None else 1e-3 * pi0
-    if tol <= 0.0:
-        raise DomainError("gamma_set_tolerance must be positive")
-    ts = grid.interior()
-    xg = np.unique(np.concatenate((np.asarray(F.quantile(ts)),
-                                   np.asarray(G.quantile(ts)))))
-    gap = np.asarray(G.cdf(xg)) - np.asarray(F.cdf(xg))
-    # membership is relative to the best grid candidate, not the exact
-    # sup: grid points fall short of the analytic pi by the squared mesh
-    # and a tight tolerance must still keep the argmax
-    gamma_set = xg[gap >= gap.max() - tol]
-    if gamma_set.size == 0:
-        raise NumericError("discretized contact set is empty")
-    u = np.asarray(G.cdf(gamma_set))
-    v = np.asarray(F.cdf(gamma_set))
+    u, v = _gap_peaks(F, G)
+    gap = u - v
+    pi = gap.max(initial=0.0)
+    if pi <= 0.0:
+        raise DomainError("pi = 0: G - F never rises above 0, so there is "
+                          "no isolated contact point for the pi limit law")
+    # peaks within rounding of pi are contact points: the gap's rounding
+    # error (2e-15 for the t1 CDF) is far below 1e-12
+    contact = gap >= pi - 1e-12
+    u, v = u[contact], v[contact]
     rng = as_seed(seed).generator()
     b1 = _bridge_at(rng, u, n_paths)
     b2 = _bridge_at(rng, v, n_paths)
-    sup = np.max(np.sqrt(lam) * b1 - np.sqrt(1.0 - lam) * b2, axis=1)
-    return sup
+    draws = np.max(np.sqrt(lam) * b1 - np.sqrt(1.0 - lam) * b2, axis=1)
+    return draws, np.column_stack((u, v))
 
 
 def _bridge_at(rng: np.random.Generator, points: np.ndarray,

@@ -1,14 +1,48 @@
-"""Reference implementations of the empirical-pair statistics.
+"""Reference implementations of the indices.
 
-These are the earlier per-statistic implementations (searchsorted
-counts, union-of-atoms scans and float breakpoint segments), kept as
-oracles for the sorted-merge kernel in `stochord.indices`.  Each takes
-two raw samples.
+The empirical-pair statistics are the earlier per-statistic
+implementations (searchsorted counts, union-of-atoms scans and float
+breakpoint segments), kept as oracles for the sorted-merge kernel in
+`stochord.indices`; each takes two raw samples.  `sup_gap_reference` is
+the earlier grid refinement of pi for two continuous models, kept as an
+oracle for the root search.
 """
 from fractions import Fraction
 import math
 
 import numpy as np
+
+from stochord.indices import _tail_u_grid
+
+
+def sup_gap_reference(F, G, rounds=4, top_k=8):
+    """sup_x (G(x) - F(x)) for two continuous models, with its argmax.
+
+    Candidates start at both models' quantiles over a tail-padded
+    probability grid (so the gap varies by at most ~1e-3 between
+    neighbors), then the neighborhoods of the leading local maxima are
+    subdivided a few times.
+    """
+    u = _tail_u_grid()
+    xs = np.unique(np.concatenate((F.quantile(u), G.quantile(u))))
+    best_x, best_d = xs[0], -np.inf
+    for _ in range(rounds):
+        d = np.asarray(G.cdf(xs)) - np.asarray(F.cdf(xs))
+        i = int(np.argmax(d))
+        if d[i] > best_d:
+            best_d, best_x = float(d[i]), float(xs[i])
+        interior = np.arange(1, xs.size - 1)
+        is_peak = ((d[interior] >= d[interior - 1])
+                   & (d[interior] >= d[interior + 1]))
+        peaks = interior[is_peak]
+        peaks = peaks[np.argsort(d[peaks])[::-1][:top_k]]
+        if peaks.size == 0:
+            peaks = np.array([i], dtype=int)
+        pieces = [np.linspace(xs[max(p - 1, 0)],
+                              xs[min(p + 1, xs.size - 1)], 65)
+                  for p in peaks]
+        xs = np.unique(np.concatenate(pieces))
+    return max(best_d, 0.0), best_x
 
 
 def rho_reference(xs, ys) -> float:

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from stochord import GridSpec, Normal, SeedSpec, galton_test, index_report
+from stochord import (GridSpec, Normal, SeedSpec, galton_test, index_report,
+                      pi_index)
 from stochord.cli import emit_quantile_table, main
 
 
@@ -142,7 +143,7 @@ RERUN_CONFIGS = {
     "limit-law-gamma": ["limit-law", "--index", "gamma", "--f", "{f}",
                         "--g", "{g}", "--n", "100", "--reps", "5"],
     "limit-law-pi": ["limit-law", "--index", "pi", "--f", "{f}", "--g",
-                     "{g}", "--reps", "50", "--grid", "201"],
+                     "{g}", "--reps", "50"],
     "bridge-lab-occupation": ["bridge-lab", "--mode", "occupation",
                               "--paths", "20", "--bridge-grid", "64"],
     "bridge-lab-nonconsistency": ["bridge-lab", "--mode", "nonconsistency",
@@ -167,6 +168,14 @@ def test_rerun_reproduces_bytes(tmp_path, sample_pair, name):
                         if p.name != "run_info.json"})
     assert reports[0]
     assert reports[0] == reports[1]
+    # strict JSON: NaN and Infinity are not JSON, and no report may hold them
+    for name, data in reports[0].items():
+        if name.endswith(".json"):
+            json.loads(data, parse_constant=_reject_constant)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite constant {name} in a JSON report")
 
 
 @pytest.mark.parametrize("content,code,error", [
@@ -223,6 +232,54 @@ def test_limit_law_gamma_files(tmp_path, tmp_path_factory):
     assert got["reference_variance"] == pytest.approx(0.625, abs=1e-12)
     draws = (out / "limit_draws.csv").read_text().splitlines()
     assert len(draws) == 11
+
+
+def test_limit_law_pi_reports_contact_points(tmp_path):
+    f = write_model(tmp_path, "f.json", {"kind": "normal", "mean": 0,
+                                         "sd": 1})
+    g = write_model(tmp_path, "g.json", {"kind": "normal", "mean": -1,
+                                         "sd": 1.3})
+    out = tmp_path / "out"
+    assert main(["limit-law", "--index", "pi", "--f", f, "--g", g,
+                 "--reps", "10", "--seed", "4", "--out", str(out)]) == 0
+    got = json.loads((out / "limit_law.json").read_text())
+    [point] = got["contact_points"]
+    assert point["G"] - point["F"] == pytest.approx(
+        pi_index(Normal(0, 1), Normal(-1, 1.3)), rel=0, abs=1e-15)
+    assert "grid" not in got["provenance"]["config"]["options"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bridge-lab", "--mode", "occupation", "--paths", "1",
+     "--bridge-grid", "64"],
+    ["bridge-lab", "--mode", "nonconsistency", "--n", "100", "--reps", "1"],
+    ["limit-law", "--index", "gamma", "--f", "{f}", "--g", "{g}",
+     "--n", "100", "--reps", "1"],
+    ["limit-law", "--index", "pi", "--f", "{f}", "--g", "{g}",
+     "--reps", "1"],
+], ids=["occupation", "nonconsistency", "limit-law-gamma", "limit-law-pi"])
+def test_one_draw_is_a_usage_error(tmp_path, capsys, argv):
+    # a report's sd or variance needs two draws; one used to write NaN
+    f = write_model(tmp_path, "f.json", {"kind": "normal", "mean": 0.0,
+                                         "sd": 1.5})
+    g = write_model(tmp_path, "g.json", MIXTURE)
+    out = tmp_path / "out"
+    argv = [a.format(f=f, g=g) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "DomainError"
+    assert not any(p.suffix == ".json" for p in out.iterdir())
+
+
+def test_limit_law_pi_zero_names_the_contact_set(tmp_path, capsys):
+    f = write_model(tmp_path, "f.json", {"kind": "normal", "mean": 0,
+                                         "sd": 1})
+    assert main(["limit-law", "--index", "pi", "--f", f, "--g", f,
+                 "--reps", "10", "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "DomainError"
+    assert "pi = 0" in err["message"]
+    assert "contact point" in err["message"]
 
 
 def test_exit_code_usage_errors(tmp_path, sample_pair, capsys):

@@ -10,31 +10,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stochord import (NoncentralT1, Normal, NormalMixture, NumericError,
-                      find_crossings, gamma_limit_variance)
+from stochord import (Normal, NormalMixture, NumericError, find_crossings,
+                      gamma_limit_variance)
 
+from model_strategies import mixtures, normals, t1s
 from reference_crossings import find_crossings_reference
-
-means = st.floats(-5.0, 5.0)
-sds = st.floats(0.3, 3.0)
-
-
-@st.composite
-def normals(draw):
-    return Normal(draw(means), draw(sds))
-
-
-@st.composite
-def mixtures(draw):
-    w = draw(st.floats(0.02, 0.5))
-    return NormalMixture([(w, draw(means), draw(sds)),
-                          (1.0 - w, draw(means), draw(sds))])
-
-
-@st.composite
-def t1s(draw):
-    return NoncentralT1(draw(st.floats(-3.0, 3.0)))
-
 
 pairs = st.one_of(st.tuples(normals(), mixtures()),
                   st.tuples(t1s(), normals()),

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize, stats
 
 from stochord import (DomainError, Empirical, GridSpec, Normal, NormalMixture,
-                      ParameterError, epsilon_index, gamma_index, index_report,
-                      optimal_copula_eval, pi_index, rearranged_quantile,
-                      rho_index, vartheta_index)
+                      ParameterError, builtin_scenarios, epsilon_index,
+                      gamma_index, index_report, optimal_copula_eval,
+                      pi_index, rearranged_quantile, rho_index,
+                      vartheta_index)
+
+from model_strategies import mixtures, normals, t1s
+from reference_indices import sup_gap_reference
 
 
 def two_normal_gamma(m1, s1, m2, s2):
@@ -66,6 +72,34 @@ def test_pi_matches_direct_sup_search():
         options={"xatol": 1e-12}).fun
         for lo, hi in [(-12, -2), (-2, 2), (2, 12)])
     assert abs(got - best) < 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+@pytest.mark.parametrize("swap", [False, True], ids=["F-G", "G-F"])
+def test_pi_matches_refinement_on_builtin_scenarios(name, swap):
+    sc = builtin_scenarios()[name]
+    F, G = (sc.G, sc.F) if swap else (sc.F, sc.G)
+    assert pi_index(F, G) == pytest.approx(sup_gap_reference(F, G)[0],
+                                           rel=0, abs=1e-12)
+
+
+models = st.one_of(normals(), mixtures(), t1s())
+
+
+@settings(max_examples=40, deadline=None)
+@given(models, models)
+def test_pi_analytic_pairs_match_refinement_and_dense_grid(F, G):
+    got = pi_index(F, G)
+    # the gap at both models' quantiles of a dense probability grid,
+    # log-spaced into the tails: any value bounds the sup from below, up
+    # to the 1e-12 that a peak beyond pi's tail grid can reach
+    tail = np.logspace(-13.0, -2.0, 2001)
+    u = np.concatenate((tail, np.linspace(0.0, 1.0, 20_001)[1:-1], 1 - tail))
+    xs = np.concatenate((F.quantile(u), G.quantile(u)))
+    dense = max(0.0, float(np.max(np.asarray(G.cdf(xs)) - F.cdf(xs))))
+    assert dense - 1e-12 <= got <= dense + 1e-6
+    ref, _ = sup_gap_reference(F, G)
+    assert ref - 1e-12 <= got <= ref + 1e-9
 
 
 def test_pi_of_dominating_pair_is_zero():

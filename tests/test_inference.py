@@ -3,12 +3,12 @@ import pytest
 from scipy import stats
 
 from stochord import (CrossingSpec, DomainError, Empirical, GridSpec, Normal,
-                      NumericError, SeedSpec, bootstrap_sd, find_crossings,
-                      galton_test, gamma_limit_variance, gamma_plugin,
-                      gamma_threshold_test, pi_index, pi_limit_sample,
-                      rho_index)
+                      NumericError, SeedSpec, bootstrap_sd, builtin_scenarios,
+                      find_crossings, galton_test, gamma_limit_variance,
+                      gamma_plugin, gamma_threshold_test, pi_index,
+                      pi_limit_sample, rho_index)
 
-from reference_indices import pi_reference
+from reference_indices import pi_reference, sup_gap_reference
 
 
 def test_galton_fifteen_with_two_exceedances():
@@ -239,17 +239,12 @@ def test_find_crossings_two_crossing_pair():
 
 
 def test_pi_limit_single_contact_matches_normal_law():
-    # asymmetric pair: the gap G - F peaks at a unique x (a pure shift
-    # pair would tie two grid candidates by symmetry), so the limit is
-    # a single bridge evaluation, i.e. an explicit normal law
+    # the gap G - F peaks at a unique x, so the limit is a single bridge
+    # evaluation, i.e. an explicit normal law
     from scipy import optimize
     F, G = Normal(0, 1), Normal(-1, 1.3)
     lam = 0.4
-    # a tight tolerance pins the contact set to the peak alone; the
-    # default widens it to near-contact grid points, which is the right
-    # behavior for plateaus but biases this single-point comparison
-    draws = pi_limit_sample(F, G, lam, gamma_set_tolerance=1e-9,
-                            n_paths=4000, seed=SeedSpec(12))
+    draws, _ = pi_limit_sample(F, G, lam, n_paths=4000, seed=SeedSpec(12))
     x0 = optimize.minimize_scalar(lambda x: float(F.cdf(x) - G.cdf(x)),
                                   bounds=(-3, 2), method="bounded",
                                   options={"xatol": 1e-12}).x
@@ -259,8 +254,36 @@ def test_pi_limit_single_contact_matches_normal_law():
     assert ks < 0.03
 
 
+@pytest.mark.parametrize("name", ["case2-mix", "case2-t"])
+def test_pi_limit_matches_contact_law(name):
+    # both pairs touch pi at one point x0, so the draws are exactly
+    # N(0, lam G(1-G) + (1-lam) F(1-F)) at x0
+    sc = builtin_scenarios()[name]
+    F, G, lam, paths = sc.F, sc.G, 0.5, 200_000
+    _, x0 = sup_gap_reference(F, G)
+    u, v = float(G.cdf(x0)), float(F.cdf(x0))
+    draws, contact = pi_limit_sample(F, G, lam, n_paths=paths,
+                                     seed=SeedSpec(21))
+    var = lam * u * (1 - u) + (1 - lam) * v * (1 - v)
+    assert abs(draws.mean()) <= 4.0 * np.sqrt(var / paths)
+    # the sample variance of normal draws has sd var * sqrt(2/(paths-1))
+    assert abs(draws.var(ddof=1) - var) <= 4.0 * var * np.sqrt(2 / (paths - 1))
+    # the oracle's argmax is only as sharp as its last subdivision
+    [(cu, cv)] = contact
+    assert cu == pytest.approx(u, rel=0, abs=1e-7)
+    assert cv == pytest.approx(v, rel=0, abs=1e-7)
+    assert cu - cv == pytest.approx(pi_index(F, G), rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("G", [Normal(0, 1), Normal(2, 1)],
+                         ids=["same-law", "dominating"])
+def test_pi_limit_needs_positive_pi(G):
+    with pytest.raises(DomainError, match="pi = 0.*contact point"):
+        pi_limit_sample(Normal(0, 1), G, 0.5, n_paths=10, seed=SeedSpec(1))
+
+
 def test_pi_limit_sample_deterministic():
     F, G = Normal(0, 1), Normal(-1, 1)
-    a = pi_limit_sample(F, G, 0.5, n_paths=50, seed=SeedSpec(3))
-    b = pi_limit_sample(F, G, 0.5, n_paths=50, seed=SeedSpec(3))
+    a, _ = pi_limit_sample(F, G, 0.5, n_paths=50, seed=SeedSpec(3))
+    b, _ = pi_limit_sample(F, G, 0.5, n_paths=50, seed=SeedSpec(3))
     assert np.array_equal(a, b)
