@@ -12,8 +12,8 @@ problems, 4 numeric failures or violated assumptions.
 
 Each subcommand handler imports what it uses when it runs, so
 ``--version``, ``--help`` and usage errors load neither numpy nor scipy;
-scipy loads only when an analytic model or a normal quantile is
-evaluated.
+scipy loads only when the CDF, quantile or density of an analytic model
+is evaluated.
 """
 from __future__ import annotations
 
@@ -264,7 +264,7 @@ def _cmd_bridge_lab(config: CommandConfig) -> None:
 
 def _cmd_limit_law(config: CommandConfig) -> None:
     from .inference import pi_limit_sample
-    from .io_utils import atomic_write_csv, atomic_write_json
+    from .io_utils import atomic_write_json, atomic_write_text
     from .rng import SeedSpec
     from .simharness import asymptotic_law_experiment
     opt = config.options
@@ -296,8 +296,10 @@ def _cmd_limit_law(config: CommandConfig) -> None:
             "draw_variance": float(draws.var(ddof=1)),
             "provenance": _provenance(config),
         }
-    atomic_write_csv(config.out_dir / "limit_draws.csv", ["draw"],
-                     [[float(d)] for d in draws])
+    # one column of round-trip floats: the bytes atomic_write_csv would
+    # write, without a csv row per draw
+    atomic_write_text(config.out_dir / "limit_draws.csv",
+                      "draw\n" + "".join(f"{d!r}\n" for d in draws.tolist()))
     atomic_write_json(config.out_dir / "limit_law.json", payload)
 
 

@@ -8,6 +8,7 @@ reversed orientation gives 1 - gamma).
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -120,7 +121,9 @@ def run_table1_cell(scenario: Scenario, gamma0: float, n: int, reps: int,
 
     Each replicate draws fresh samples of size n from both marginals
     (streams keyed by replicate index, so any thread count produces the
-    same result) and applies the bootstrap threshold test.
+    same result) and applies the bootstrap threshold test.  Each running
+    replicate holds its resample matrices, so the pool has at most one
+    worker per replicate and per core, whatever ``threads`` asks for.
     """
     if reps < 1:
         raise DomainError("reps must be >= 1")
@@ -134,7 +137,8 @@ def run_table1_cell(scenario: Scenario, gamma0: float, n: int, reps: int,
                                    seed=seed.child(r, 2))
         rejects[r] = res.reject
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, reps, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(one, range(reps)))
     k = int(rejects.sum())
     p = k / reps

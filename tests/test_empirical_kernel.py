@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from stochord import (Empirical, GridSpec, as_seed, bootstrap_sd,
                       epsilon_index, gamma_plugin, pi_index, rho_index,
                       vartheta_index)
-from stochord import indices
+from stochord import indices, inference
 
 from reference_indices import (epsilon_reference, gamma_fraction,
                                gamma_reference, pi_reference, rho_reference)
@@ -133,15 +133,32 @@ def test_batched_rows_match_single_rows(pairs, chunk_rows):
 
 
 def _bootstrap_loop(xs, ys, kind, B, grid, seed):
-    """bootstrap_sd one replicate at a time: the same draws, each
-    replicate's statistic from the reference implementations."""
+    """bootstrap_sd one replicate at a time: the same draws, of values
+    rather than rank codes, each replicate's statistic from the reference
+    implementations (the exact gamma of unequal sizes as the rounded
+    rational)."""
     rng = as_seed(seed).generator()
     n, m = xs.size, ys.size
     bx = xs[rng.integers(0, n, size=(B, n))]
     by = ys[rng.integers(0, m, size=(B, m))]
-    stat = {"rho": rho_reference, "pi": pi_reference,
-            "gamma": lambda a, b: gamma_reference(a, b, grid)}[kind]
+    if kind == "gamma" and grid is None and n != m:
+        def stat(a, b):
+            return float(gamma_fraction(a, b))
+    else:
+        stat = {"rho": rho_reference, "pi": pi_reference,
+                "gamma": lambda a, b: gamma_reference(a, b, grid)}[kind]
     return float(np.std([stat(bx[b], by[b]) for b in range(B)], ddof=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sample_pairs(), st.sampled_from(["gamma", "rho", "pi"]),
+       st.one_of(st.none(), st.integers(3, 40).map(GridSpec)),
+       st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_bootstrap_matches_replicate_loop_property(pair, kind, grid, B, seed):
+    xs, ys = pair
+    grid = grid if kind == "gamma" else None
+    assert same(bootstrap_sd(xs, ys, kind, B, grid, seed=seed),
+                _bootstrap_loop(xs, ys, kind, B, grid, seed))
 
 
 @pytest.mark.parametrize("kind, n, m, grid", [
@@ -161,6 +178,23 @@ def test_bootstrap_matches_replicate_loop(kind, n, m, grid):
     assert same(got, _bootstrap_loop(xs, ys, kind, B, grid, 5))
 
 
+@pytest.mark.parametrize("kind", ["gamma", "pi"])
+def test_bootstrap_over_2_15_distinct_values_uses_int32_codes(kind):
+    rng = np.random.default_rng(14)
+    xs, ys = rng.normal(size=20000), rng.normal(0.1, 1.2, size=20000)
+    seen = []
+
+    def spy(kind, xo, yo, grid=None):
+        seen.append((xo.dtype, yo.dtype))
+        return indices._sorted_index(kind, xo, yo, grid)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inference, "_sorted_index", spy)
+        got = bootstrap_sd(xs, ys, kind, 3, seed=8)
+    assert seen == [(np.int32, np.int32)]
+    assert same(got, _bootstrap_loop(xs, ys, kind, 3, None, 8))
+
+
 def test_bootstrap_exact_gamma_unequal_sizes_matches_plugin_loop():
     rng = np.random.default_rng(12)
     xs, ys = rng.normal(size=90), rng.normal(0.3, 1.4, size=61)
@@ -173,8 +207,11 @@ def test_bootstrap_exact_gamma_unequal_sizes_matches_plugin_loop():
 
 
 def test_bootstrap_memory_is_bounded_by_the_resamples():
-    # the kernel runs over row chunks, so its temporaries add little to
-    # the B x (n + m) resample matrices (float64 values, int64 indices)
+    # the resamples are int16 rank codes, and each int64 index matrix
+    # lives only while its own sample is gathered: the peak is one index
+    # matrix and both code matrices, 3/8 of the B x (n + m) float64
+    # values plus int64 indices that drawing values would hold at once;
+    # the kernel runs over row chunks, so its temporaries add little
     rng = np.random.default_rng(13)
     B, n = 1000, 2000
     xs, ys = rng.normal(size=n), rng.normal(0.2, 1.1, size=n)
@@ -185,4 +222,4 @@ def test_bootstrap_memory_is_bounded_by_the_resamples():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * resample_bytes, (peak, resample_bytes)
+    assert peak <= 0.5 * resample_bytes, (peak, resample_bytes)

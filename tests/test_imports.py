@@ -91,6 +91,22 @@ def test_sample_commands_load_no_scipy(tmp_path, samples, command):
         "rc": 0, "loaded": ["numpy"]}
 
 
+@pytest.mark.parametrize("argv", [
+    ["test-gamma", "--B", "20"],
+    ["test-gamma", "--B", "20", "--grid", "101"],
+    ["simulate-table", "--case", "2", "--variant", "both", "--n", "20",
+     "--reps", "2", "--B", "20", "--threads", "2"],
+])
+def test_bootstrap_commands_load_no_scipy(tmp_path, samples, argv):
+    # the normal quantile of the threshold test is computed in plain
+    # Python; only analytic-model evaluation loads scipy
+    if argv[0] == "test-gamma":
+        x, y = samples
+        argv = argv + ["--x", x, "--y", y, "--gamma0", "0.3"]
+    assert cli(argv + ["--out", str(tmp_path / "out")]) == {
+        "rc": 0, "loaded": ["numpy"]}
+
+
 def test_public_names_resolve_on_demand():
     assert fresh(PUBLIC_NAMES) == {"numpy_on_import": False,
                                    "unresolved": [], "not_in_dir": []}

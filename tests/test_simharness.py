@@ -41,6 +41,38 @@ def test_cell_thread_count_invariance():
     assert seq.to_json() == par.to_json()
 
 
+@pytest.mark.parametrize("cores, workers", [(2, 2), (64, 3), (None, 1)])
+def test_cell_pool_is_capped_by_replicates_and_cores(monkeypatch, cores,
+                                                     workers):
+    from stochord import simharness
+    asked = []
+
+    class InlinePool:
+        """Records max_workers and runs the work in the calling thread,
+        so no thread is ever started."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    s = builtin_scenarios()["case2-mix"]
+    ref = run_table1_cell(s, 0.05, n=30, reps=3, B=20, seed=SeedSpec(2))
+    monkeypatch.setattr(simharness, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(simharness.os, "cpu_count", lambda: cores)
+    res = run_table1_cell(s, 0.05, n=30, reps=3, B=20, seed=SeedSpec(2),
+                          threads=10**6)
+    assert asked == [workers]
+    assert res == ref
+
+
 def test_cell_mc_se_and_bounds():
     s = builtin_scenarios()["case2-mix"]
     r = run_table1_cell(s, 0.10, n=50, reps=25, B=50, seed=SeedSpec(2))
