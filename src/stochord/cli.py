@@ -364,7 +364,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("indices", help="compute all departure indices")
     p.add_argument("--f", required=True, help="model JSON or sample CSV")
     p.add_argument("--g", required=True, help="model JSON or sample CSV")
-    p.add_argument("--grid", type=_positive(int), default=1001)
+    p.add_argument("--grid", type=_positive(int), default=1001,
+                   help="points of the quantile table, also recorded as the "
+                   "report's grid (the indices are exact, on no grid)")
     p.add_argument("--quantile-table", action="store_true",
                    help="also emit a quantile/indicator table CSV")
     common(p)
@@ -398,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--threads", type=_positive(int), default=1)
     p.add_argument("--verify-nominal", action="store_true",
-                   help="include 10001-grid nominal gamma check")
+                   help="include the exact nominal gamma check")
     common(p)
 
     p = sub.add_parser("bridge-lab", help="bridge occupation experiments")

@@ -18,11 +18,14 @@ sits from that relation:
     Mass ratio int (G-F)^+ dx / int |G-F| dx; unlike the others it is
     invariant only under increasing affine maps, not all increasing maps.
 
-All evaluators accept any mix of the model families.  Pairs of
-empirical models use exact order-statistic computations; analytic pairs
-use the grid (gamma, rho), the roots of g - f bisected to adjacent
-doubles (pi) or Gauss-Legendre quadrature between quantile knots
-(epsilon).
+All evaluators accept any mix of the model families and compute each
+index exactly, up to rounding, with one method per pair kind.  Pairs of
+empirical models use exact order-statistic computations.  A sample
+against a continuous model sums over the sample's order statistics.
+Two continuous models use the crossings of their quantile curves,
+bisected to adjacent doubles as roots of G - F (gamma), the roots of
+g - f (pi), or Gauss-Legendre quadrature between quantile knots (rho,
+epsilon).  No index depends on a grid.
 """
 from __future__ import annotations
 
@@ -50,8 +53,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Evaluation grid on (0,1): ``points`` values t_j = j/(points-1),
-    j = 0..points-1; all counting happens on the interior points only."""
+    """Uniform grid t_j = j/(points-1), j = 0..points-1, on [0, 1]: the
+    rows of the quantile table, and through ``interior`` the levels of
+    the grid plug-in of gamma."""
 
     points: int = 1001
 
@@ -59,20 +63,12 @@ class GridSpec:
         if int(self.points) != self.points or self.points < 3:
             raise ParameterError("grid needs at least 3 points")
 
-    @property
-    def interior_count(self) -> int:
-        return self.points - 2
-
     def interior(self) -> np.ndarray:
         m = self.points
         return np.arange(1, m - 1, dtype=float) / (m - 1)
 
     def to_json(self) -> dict:
         return {"points": self.points, "kind": "uniform"}
-
-
-def _default_grid(grid: GridSpec | None) -> GridSpec:
-    return grid if grid is not None else GridSpec()
 
 
 # Batched kernel calls run over chunks of rows holding about this many
@@ -145,13 +141,27 @@ def _sorted_index(kind: str, xo: np.ndarray, yo: np.ndarray,
                            for i in range(0, xo.shape[0], rows)])
 
 
-def gamma_index(F: Distribution, G: Distribution,
-                grid: GridSpec | None = None) -> float:
-    """Proportion of interior grid points where F's quantile strictly
-    exceeds G's.  Zero iff F <=st G (up to grid resolution)."""
-    grid = _default_grid(grid)
-    ts = grid.interior()
-    return float(np.mean(F.quantile(ts) > G.quantile(ts)))
+def gamma_index(F: Distribution, G: Distribution) -> float:
+    """Measure of {t in (0,1) : F^{-1}(t) > G^{-1}(t)}; zero iff F <=st G.
+
+    Two samples give the exact rational of `_sorted_index`.  A sample
+    x against a continuous G gives sum_i clip(G(x_(i)) - (i-1)/n, 0,
+    1/n): on the i-th piece ((i-1)/n, i/n] the quantile of the sample is
+    x_(i), and G^{-1}(t) < x_(i) iff t < G(x_(i)).  A continuous F
+    against a sample gives 1 - gamma(G, F), since the quantile curves
+    then agree only on a null set.  Two continuous models sum the
+    t-pieces between the crossings of `_crossings`.
+    """
+    f_emp, g_emp = isinstance(F, Empirical), isinstance(G, Empirical)
+    if f_emp and g_emp:
+        return float(_sorted_index("gamma", F.values, G.values))
+    if g_emp:
+        return 1.0 - gamma_index(G, F)
+    if f_emp:
+        n = F.n
+        return float(np.sum(np.clip(np.asarray(G.cdf(F.values))
+                                    - np.arange(n) / n, 0.0, 1.0 / n)))
+    return _crossings(F, G)[2]
 
 
 def _cdf_left(model: Distribution, x: np.ndarray) -> np.ndarray:
@@ -162,35 +172,57 @@ def _cdf_left(model: Distribution, x: np.ndarray) -> np.ndarray:
     return np.atleast_1d(model.cdf(x))
 
 
-def rho_index(F: Distribution, G: Distribution,
-              grid: GridSpec | None = None) -> float:
-    """P(X > Y) for independent X ~ F, Y ~ G.
+def rho_index(F: Distribution, G: Distribution) -> float:
+    """P(X > Y) for independent X ~ F, Y ~ G, the integral of G(x-) dF(x).
 
-    For two empirical models this is the exact pair count
-    (1/nm) sum_i #{j : y_j < x_i}.  Otherwise it is the grid mean of
-    G(F^{-1}(t)-), the quantile-composition form of int G(x-) dF(x).
+    Two samples give the exact pair count (1/nm) sum_i #{j : y_j < x_i}.
+    A sample x against a continuous G gives the mean of G(x_i), and a
+    continuous F against a sample 1 - rho(G, F), since X = Y has
+    probability zero.  Two continuous models integrate G f with the
+    Gauss-Legendre rule of `_gauss_legendre` on four equal pieces of
+    each interval between epsilon's knots a < ... < b, plus F(a) G(a) +
+    (1 - F(b)) G(b) for the tails beyond them: both CDFs lie within
+    1e-10 of 0 at a and of 1 at b, so each tail term is off by at most
+    1e-20.  (One piece per interval is not enough where a mixture's
+    quantile jumps across a gap between narrow components: the rule
+    then spans the gap, and was off by 7e-8 on such a pair.)
     """
-    if isinstance(F, Empirical) and isinstance(G, Empirical):
+    f_emp, g_emp = isinstance(F, Empirical), isinstance(G, Empirical)
+    if f_emp and g_emp:
         return float(_sorted_index("rho", F.values, G.values))
-    grid = _default_grid(grid)
-    ts = grid.interior()
-    return float(np.mean(_cdf_left(G, F.quantile(ts))))
+    if g_emp:
+        return 1.0 - rho_index(G, F)
+    if f_emp:
+        return float(np.mean(G.cdf(F.values)))
+    knots = _support_knots(F, G)
+    pieces = knots[:-1, None] + np.diff(knots)[:, None] * (np.arange(4) / 4)
+    xs, w = _gauss_legendre(np.append(pieces.ravel(), knots[-1]))
+    x = xs.ravel()
+    body = np.sum(np.asarray(G.cdf(x)) * np.asarray(F.density(x)) * w.ravel())
+    (fa, fb), (ga, gb) = (np.asarray(D.cdf(knots[[0, -1]])) for D in (F, G))
+    return float(body + fa * ga + (1.0 - fb) * gb)
+
+
+# Log-spaced probabilities from 1e-12 up to (not including) 1/2.
+_TAIL_LEVELS = np.logspace(-12, math.log10(0.5), 49)[:-1]
 
 
 def _tail_u_grid(n_core: int = 2048) -> np.ndarray:
     """Probability grid: uniform core plus log-spaced tails to 1e-12."""
     core = np.arange(1, n_core + 1, dtype=float) / (n_core + 1)
-    tails = np.logspace(-12, math.log10(0.5), 49)[:-1]
-    return np.unique(np.concatenate((core, tails, 1.0 - tails)))
+    return np.unique(np.concatenate((core, _TAIL_LEVELS, 1.0 - _TAIL_LEVELS)))
 
 
 def _sign_roots(h, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Roots of a vectorized ``h`` at its sign changes on the sorted grid
     ``xs`` (h can vanish on a whole run of grid points), all bisected
-    together until each bracket's ends are adjacent doubles.  Returns
-    the roots and the sign of h on the pieces between them: that of the
-    first nonzero grid point above each root, and below the first (0 if
-    h vanishes on the whole grid)."""
+    together until each bracket's ends are adjacent doubles.  Zeros of h
+    count with its negative side: a bracket across a run of them is
+    bisected to the end of the run that meets h > 0, so the run lies on
+    a piece of negative sign.  Returns the roots and the sign of h on the
+    pieces between them: that of the first nonzero grid point above
+    each root, and below the first (0 if h vanishes on the whole
+    grid)."""
     sign = np.sign(h(xs))
     nz = np.flatnonzero(sign)
     flip = np.flatnonzero(sign[nz[:-1]] != sign[nz[1:]])
@@ -202,11 +234,40 @@ def _sign_roots(h, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mid = 0.5 * (a + b)
         live = (a < mid) & (mid < b)
         active, a, b, mid = active[live], a[live], b[live], mid[live]
-        keep = np.sign(h(mid)) == side[active]
+        keep = (h(mid) > 0) == (side[active] > 0)
         lo[active] = np.where(keep, mid, a)
         hi[active] = np.where(keep, b, mid)
     first = nz[np.concatenate(([0], flip + 1))] if nz.size else [0]
     return 0.5 * (lo + hi), sign[first]
+
+
+# Levels at which `_crossings` brackets the roots of G - F: t_j =
+# j/20002, and below and above them the tail levels of `_tail_u_grid`,
+# reaching 1e-12 into each tail like pi's search.
+_CROSSING_TAILS = _TAIL_LEVELS[_TAIL_LEVELS < 1 / 20002]
+_CROSSING_LEVELS = np.concatenate((
+    _CROSSING_TAILS, np.arange(1, 20002) / 20002, 1.0 - _CROSSING_TAILS[::-1]))
+
+
+def _crossings(F: Distribution, G: Distribution
+               ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Crossings of F^{-1} and G^{-1} for continuous F and G, and gamma.
+
+    At x = F^{-1}(t), F^{-1}(t) > G^{-1}(t) iff G(x) > F(x), so the
+    crossings are the roots of G - F at the levels t = F(x).  The sign
+    of G - F at F's quantiles of `_CROSSING_LEVELS` brackets each sign
+    change (it can vanish on a whole run of them, e.g. symmetric pairs
+    at t = 1/2), and `_sign_roots` bisects the brackets to adjacent
+    doubles.  Returns the roots x, their levels t, and gamma: the summed
+    length of the t-pieces between crossings on which G - F is
+    positive, so it carries the crossings' rounding error, not a grid's.
+    """
+    x, sign = _sign_roots(
+        lambda x: np.asarray(G.cdf(x)) - np.asarray(F.cdf(x)),
+        np.asarray(F.quantile(_CROSSING_LEVELS)))
+    t = np.asarray(F.cdf(x))
+    edges = np.concatenate(([0.0], t, [1.0]))
+    return x, t, float(np.diff(edges)[sign > 0].sum())
 
 
 def _gap_peaks(F: Distribution, G: Distribution
@@ -263,6 +324,15 @@ def _support_knots(F: Distribution, G: Distribution) -> np.ndarray:
 _GL16 = np.polynomial.legendre.leggauss(16)
 
 
+def _gauss_legendre(knots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights, as (k, 16) arrays, of the 16-point
+    Gauss-Legendre rule on each of the k intervals between sorted knots."""
+    lo, hi = knots[:-1], knots[1:]
+    half = 0.5 * (hi - lo)
+    xs = 0.5 * (lo + hi)[:, None] + half[:, None] * _GL16[0]
+    return xs, half[:, None] * _GL16[1]
+
+
 def epsilon_index(F: Distribution, G: Distribution) -> float | None:
     """Ratio int (G-F)^+ dx / int |G-F| dx over the union of effective
     supports (combined 1e-10 quantile range for analytic models).
@@ -283,10 +353,7 @@ def epsilon_index(F: Distribution, G: Distribution) -> float | None:
         tot = float(np.sum(np.abs(d) * dz))
     else:
         knots = _support_knots(F, G)
-        lo, hi = knots[:-1], knots[1:]
-        half = 0.5 * (hi - lo)
-        xs = 0.5 * (lo + hi)[:, None] + half[:, None] * _GL16[0]
-        w = half[:, None] * _GL16[1]
+        xs, w = _gauss_legendre(knots)
         d = (np.asarray(G.cdf(xs.ravel())) -
              np.asarray(F.cdf(xs.ravel()))).reshape(xs.shape)
         pos = float(np.sum(np.maximum(d, 0.0) * w))
@@ -404,29 +471,28 @@ class IndexReport:
 
 
 def index_report(F: Distribution, G: Distribution,
-                 grid: GridSpec | None = None) -> IndexReport:
+                 grid: GridSpec = GridSpec()) -> IndexReport:
     """Compute all indices for (F, G) and check internal consistency.
 
-    The ordering pi <= gamma and pi <= rho holds for the exact indices;
-    the computed values get slack for grid quantization of gamma and
-    rho.  A violation beyond slack indicates a numeric defect and raises
-    rather than returning a silently inconsistent report.
+    The ordering pi <= gamma and pi <= rho holds for the exact indices,
+    and the computed ones are exact up to rounding, so a violation by
+    more than 1e-12 indicates a numeric defect and raises rather than
+    returning a silently inconsistent report.  ``grid`` is only recorded
+    in the report: no index depends on it.
     """
-    grid = _default_grid(grid)
-    gamma = gamma_index(F, G, grid)
-    rho = rho_index(F, G, grid)
+    gamma = gamma_index(F, G)
+    rho = rho_index(F, G)
     pi = pi_index(F, G)
     vartheta = vartheta_index(F, G)
     epsilon = epsilon_index(F, G)
-    slack = 2.0 / grid.interior_count + 1e-9
     for name, val in (("gamma", gamma), ("rho", rho), ("pi", pi),
                       ("vartheta", vartheta)):
         if not (-1e-12 <= val <= 1.0 + 1e-12):
             raise NumericError(f"{name} index {val} outside [0, 1]")
-    if pi > gamma + slack:
-        raise NumericError(f"consistency failure: pi={pi} > gamma={gamma} + slack")
-    if pi > rho + slack:
-        raise NumericError(f"consistency failure: pi={pi} > rho={rho} + slack")
+    if pi > gamma + 1e-12:
+        raise NumericError(f"consistency failure: pi={pi} > gamma={gamma}")
+    if pi > rho + 1e-12:
+        raise NumericError(f"consistency failure: pi={pi} > rho={rho}")
     tie = any(m.tie_flag for m in (F, G) if isinstance(m, Empirical))
     return IndexReport(gamma=gamma, rho=rho, pi=pi, vartheta=vartheta,
                        epsilon=epsilon, grid=grid,

@@ -14,10 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import Distribution, Empirical
+from .distributions import Distribution
 from .errors import DomainError, NumericError
-from .indices import (GridSpec, _gap_peaks, _sign_roots, _sorted_index,
-                      gamma_index)
+from .indices import GridSpec, _crossings, _gap_peaks, _sorted_index
 from .rng import SeedSpec, as_seed
 
 __all__ = [
@@ -74,15 +73,14 @@ def gamma_plugin(xs, ys, grid: GridSpec | None = None) -> float:
 
     With ``grid=None`` the measure is computed exactly from the
     order-statistic breakpoints (for n = m this equals the Galton count
-    divided by n, the rank-aligned grid value).  Passing a grid counts
-    interior grid points instead, matching ``gamma_index`` on the two
-    empirical distributions.  The rho and pi plug-ins are ``rho_index``
-    and ``pi_index`` on two ``Empirical`` models.
+    divided by n, the rank-aligned grid value); it is ``gamma_index`` on
+    the two ``Empirical`` models.  Passing a grid counts the interior
+    grid points at which the sample quantiles compare instead.  The rho
+    and pi plug-ins are ``rho_index`` and ``pi_index`` on two
+    ``Empirical`` models.
     """
     xs, ys = _as_sample(xs, "xs"), _as_sample(ys, "ys")
-    if grid is not None:
-        return gamma_index(Empirical(xs), Empirical(ys), grid)
-    return float(_sorted_index("gamma", np.sort(xs), np.sort(ys)))
+    return float(_sorted_index("gamma", np.sort(xs), np.sort(ys), grid))
 
 
 def bootstrap_sd(xs, ys, index_kind: str = "gamma", B: int = 1000,
@@ -279,35 +277,20 @@ def gamma_limit_variance(cross: CrossingSpec) -> float:
     return float(var)
 
 
-# Levels t_j = j/20002 on which find_crossings brackets the crossings.
-_CROSSING_GRID = np.arange(1, 20002) / 20002
-
-
 def find_crossings(F: Distribution, G: Distribution, lam: float,
                    min_rel_gap: float = 0.0) -> tuple[CrossingSpec, float]:
     """Locate sign changes of F^{-1} - G^{-1} and the exact gamma.
 
-    The search runs in x-space, where the crossings are the roots of
-    G(x) - F(x): at x = F^{-1}(t), F^{-1}(t) > G^{-1}(t) iff G(x) > F(x).
-    The sign of G(x) - F(x) at the quantiles x_j = F^{-1}(t_j) of the
-    grid ``_CROSSING_GRID`` brackets each sign change (it can vanish on a
-    whole run of grid points, e.g. symmetric pairs at t = 1/2), and
-    `_sign_roots` bisects the brackets to adjacent doubles.  A crossing
-    sits at the root x, at level t = F(x).
+    The crossings are the roots of G(x) - F(x) found by
+    `indices._crossings` from one evaluation of F's quantile, and none
+    of G's; a crossing sits at the root x, at level t = F(x).
 
     Returns a CrossingSpec (with densities evaluated at the crossings)
-    plus the measure of {t : F^{-1}(t) > G^{-1}(t)}: the summed length of
-    the t-intervals between crossings whose grid sign is positive, so
-    gamma carries the crossings' rounding error rather than grid error.
-    ``min_rel_gap`` > 0 raises NumericError when any crossing has
-    |f - g| below that relative size.
+    plus the measure of {t : F^{-1}(t) > G^{-1}(t)}, the value of
+    ``gamma_index`` for the pair.  ``min_rel_gap`` > 0 raises
+    NumericError when any crossing has |f - g| below that relative size.
     """
-    x, sign = _sign_roots(
-        lambda x: np.asarray(G.cdf(x)) - np.asarray(F.cdf(x)),
-        np.asarray(F.quantile(_CROSSING_GRID)))
-    t = np.asarray(F.cdf(x))
-    edges = np.concatenate(([0.0], t, [1.0]))
-    gamma = float(np.diff(edges)[sign > 0].sum())
+    x, t, gamma = _crossings(F, G)
     # a model without a density (empirical) still passes when nothing
     # crosses
     f = np.asarray(F.density(x)) if x.size else x

@@ -16,7 +16,6 @@ import numpy as np
 
 from .distributions import Distribution, Normal, NoncentralT1, NormalMixture
 from .errors import DomainError
-from .indices import GridSpec
 from .inference import (find_crossings, gamma_limit_variance, gamma_plugin,
                         gamma_threshold_test)
 from .rng import SeedSpec, as_seed
@@ -65,13 +64,11 @@ def builtin_scenarios() -> dict[str, Scenario]:
     return out
 
 
-def verify_nominal_gamma(scenario: Scenario,
-                         grid: GridSpec | None = None) -> float:
-    """Grid-computed gamma(F, G); on the 10001-point grid the built-in
-    scenarios land within 4e-4 of their nominal targets."""
+def verify_nominal_gamma(scenario: Scenario) -> float:
+    """Exact gamma(F, G); the built-in scenarios land within 4e-4 of
+    their nominal targets."""
     from .indices import gamma_index
-    grid = grid if grid is not None else GridSpec(10001)
-    return gamma_index(scenario.F, scenario.G, grid)
+    return gamma_index(scenario.F, scenario.G)
 
 
 @dataclass(frozen=True)

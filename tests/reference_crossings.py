@@ -1,19 +1,24 @@
 """Reference implementation of `find_crossings`.
 
 This is the earlier t-space search, kept as an oracle for the x-space
-root search in `stochord.inference`: quantile differences on a grid of
-20001 levels, a scalar bisection of 60 steps per bracket in t, and
-gamma from one quantile comparison at the midpoint of each interval
+root search in `stochord.inference`: quantile differences on the
+levels j/20002 and, below and above them, log-spaced levels reaching
+1e-12 into each tail, a scalar bisection of 60 steps per bracket in t,
+and gamma from one quantile comparison at the midpoint of each interval
 between crossings.
 """
 import numpy as np
 
 from stochord import CrossingSpec, NumericError
 
+_CORE = np.arange(1, 20002) / 20002
+_TAILS = np.logspace(-12, np.log10(0.5), 49)[:-1]
+_TAILS = _TAILS[_TAILS < _CORE[0]]
+LEVELS = np.concatenate((_TAILS, _CORE, 1.0 - _TAILS[::-1]))
 
-def find_crossings_reference(F, G, lam, coarse=20001, refine_iters=60,
-                             min_rel_gap=0.0):
-    ts = np.arange(1, coarse + 1) / (coarse + 1)
+
+def find_crossings_reference(F, G, lam, refine_iters=60, min_rel_gap=0.0):
+    ts = LEVELS
     diff = np.asarray(F.quantile(ts)) - np.asarray(G.quantile(ts))
     sign = np.sign(diff)
     nz = np.nonzero(sign)[0]

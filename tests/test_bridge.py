@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from stochord import (DomainError, SeedSpec, SubsetSpec, bridge_path,
-                      gamma_index, GridSpec, make_gamma_set_pair,
+                      gamma_index, make_gamma_set_pair,
                       nonconsistency_demo, occupation_positive)
 
 
@@ -107,9 +107,11 @@ def test_gamma_set_pair_construction():
     F, G, gamma, gset = make_gamma_set_pair()
     assert gamma == pytest.approx(1 / 3)
     assert gset.intervals == ((1 / 3, 2 / 3),)
-    # gamma is exact by construction; a fine grid confirms it
-    got = gamma_index(F, G, GridSpec(9001))
-    assert abs(got - 1 / 3) < 2 / 9000
+    # gamma is exact by construction, and the agreement set counts in
+    # neither orientation: G's quantile is below F's on (0, 1/3) and
+    # above it on (2/3, 1)
+    assert gamma_index(F, G) == pytest.approx(1 / 3, rel=0, abs=1e-15)
+    assert gamma_index(G, F) == pytest.approx(1 / 3, rel=0, abs=1e-15)
     # quantiles agree exactly on the middle third
     ts = np.linspace(0.34, 0.66, 21)
     assert np.array_equal(np.asarray(F.quantile(ts)),

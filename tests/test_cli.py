@@ -80,6 +80,22 @@ def test_indices_accepts_csv_models(tmp_path, sample_pair):
     assert 0.0 <= got["gamma"] <= 1.0
 
 
+def test_indices_and_test_gamma_report_the_same_gamma(tmp_path):
+    # unequal sizes: the exact gamma is a multiple of 1/(37 * 53), which
+    # no count on the quantile table's grid reproduces
+    rng = np.random.default_rng(8)
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    np.savetxt(x, rng.normal(0, 1, 37), fmt="%.17g")
+    np.savetxt(y, rng.normal(0.3, 1.4, 53), fmt="%.17g")
+    assert main(["indices", "--f", str(x), "--g", str(y),
+                 "--out", str(tmp_path / "i")]) == 0
+    assert main(["test-gamma", "--x", str(x), "--y", str(y), "--gamma0",
+                 "0.2", "--B", "20", "--out", str(tmp_path / "t")]) == 0
+    got = json.loads((tmp_path / "i" / "indices.json").read_text())
+    ref = json.loads((tmp_path / "t" / "test_gamma.json").read_text())
+    assert got["gamma"] == ref["estimate"]
+
+
 def test_galton_command(tmp_path, sample_pair):
     x, y = sample_pair
     out = tmp_path / "out"

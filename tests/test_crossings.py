@@ -5,16 +5,19 @@ The x-space root search must find the same crossings as the oracle in
 relative, the limit-law experiment's requirement), and it must evaluate
 F's quantile once and G's never.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import optimize, stats
 
-from stochord import (Normal, NormalMixture, NumericError, find_crossings,
-                      gamma_limit_variance)
+from stochord import (NoncentralT1, Normal, NormalMixture, NumericError,
+                      find_crossings, gamma_limit_variance)
 
 from model_strategies import mixtures, normals, t1s
-from reference_crossings import find_crossings_reference
+from reference_crossings import LEVELS, find_crossings_reference
 
 pairs = st.one_of(st.tuples(normals(), mixtures()),
                   st.tuples(t1s(), normals()),
@@ -28,8 +31,7 @@ def test_find_crossings_matches_reference(pair, lam):
     # keep the oracle off pairs whose quantile curves all but coincide:
     # rounding noise would give it thousands of brackets to bisect one
     # by one (and their crossings could not pass the density-gap check)
-    ts = np.arange(1, 20002) / 20002
-    sign = np.sign(F.quantile(ts) - G.quantile(ts))
+    sign = np.sign(F.quantile(LEVELS) - G.quantile(LEVELS))
     sign = sign[sign != 0]
     assume(np.count_nonzero(sign[1:] != sign[:-1]) <= 4)
     try:
@@ -61,7 +63,7 @@ def test_find_crossings_one_quantile_call(monkeypatch):
     monkeypatch.setattr(F, "quantile", counted(F, "F"))
     monkeypatch.setattr(G, "quantile", counted(G, "G"))
     cross, _ = find_crossings(F, G, lam=0.5)
-    assert len(cross.t) == 2
+    assert len(cross.t) == 3
     assert calls == {"F": 1, "G": 0}
 
 
@@ -74,3 +76,21 @@ def test_find_crossings_same_law_has_none():
     cross, gamma = find_crossings(F, G, lam=0.5)
     assert cross.t == ()
     assert gamma == 0.0
+
+
+def test_find_crossings_reach_into_the_tails():
+    # t1(0) is the standard Cauchy law; against N(0, 1e4) the quantile
+    # curves cross at t = 1/2 and, beyond the levels j/20002, at
+    # t = 7.35e-6 and 1 - 7.35e-6
+    F, G = NoncentralT1(0.0), Normal(0.0, 1e4)
+    cross, gamma = find_crossings(F, G, lam=0.5)
+    assert len(cross.t) == 3
+    # the Cauchy CDF below 0 is atan(-1/x)/pi, accurate in the tail
+    root = optimize.brentq(
+        lambda x: math.atan(-1.0 / x) / math.pi - stats.norm.cdf(x / 1e4),
+        -1e5, -1e4, xtol=1e-9, rtol=1e-15)
+    assert cross.x[0] == pytest.approx(root, rel=1e-12)
+    assert cross.x[2] == pytest.approx(-root, rel=1e-12)
+    assert cross.t[0] == pytest.approx(7.3457e-6, rel=1e-4)
+    assert cross.t[1] == 0.5
+    assert gamma == pytest.approx(0.5, rel=0, abs=1e-15)

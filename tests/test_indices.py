@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import optimize, stats
+from scipy import integrate, optimize, stats
 
-from stochord import (DomainError, Empirical, GridSpec, Normal, NormalMixture,
-                      ParameterError, builtin_scenarios, epsilon_index,
-                      gamma_index, index_report, optimal_copula_eval,
-                      pi_index, rearranged_quantile, rho_index,
-                      vartheta_index)
+from stochord import (DomainError, Empirical, GridSpec, NoncentralT1, Normal,
+                      NormalMixture, ParameterError, builtin_scenarios,
+                      epsilon_index, gamma_index, index_report,
+                      optimal_copula_eval, pi_index, rearranged_quantile,
+                      rho_index, vartheta_index)
 
 from model_strategies import mixtures, normals, t1s
 from reference_indices import sup_gap_reference
+
+models = st.one_of(normals(), mixtures(), t1s())
 
 
 def two_normal_gamma(m1, s1, m2, s2):
@@ -25,33 +27,137 @@ def two_normal_gamma(m1, s1, m2, s2):
 
 @pytest.mark.parametrize("params", [
     (100, 10, 116, 20), (100, 10, 105, 20), (0, 1, 0, 2), (0, 2, 1, 1),
-    (3, 1.5, 2.5, 0.7),
+    (3, 1.5, 2.5, 0.7), (0, 1, 0.395, 0.9),
 ])
 def test_gamma_two_normals_closed_form(params):
     m1, s1, m2, s2 = params
-    got = gamma_index(Normal(m1, s1), Normal(m2, s2), GridSpec(2001))
-    assert abs(got - two_normal_gamma(m1, s1, m2, s2)) < 2 / 1999
+    got = gamma_index(Normal(m1, s1), Normal(m2, s2))
+    assert abs(got - two_normal_gamma(m1, s1, m2, s2)) < 1e-12
 
 
 def test_gamma_complement_sums_to_one():
     F, G = Normal(0.3, 1.1), NormalMixture([(0.4, -1.0, 0.6), (0.6, 1.5, 2.0)])
-    grid = GridSpec(1001)
-    assert abs(gamma_index(F, G, grid) + gamma_index(G, F, grid) - 1.0) \
-        < 2 / 999
+    assert abs(gamma_index(F, G) + gamma_index(G, F) - 1.0) < 1e-12
 
 
 def test_gamma_dominated_pair_is_zero():
-    assert gamma_index(Normal(0, 1), Normal(3, 1), GridSpec(1001)) == 0.0
-    assert gamma_index(Normal(3, 1), Normal(0, 1), GridSpec(1001)) == 1.0
+    assert gamma_index(Normal(0, 1), Normal(3, 1)) == 0.0
+    assert gamma_index(Normal(3, 1), Normal(0, 1)) == 1.0
 
 
 def test_rho_two_normals_closed_form():
     # P(X > Y) = Phi((mF - mG)/sqrt(sF^2 + sG^2)) for independent normals
     for (m1, s1, m2, s2) in [(100, 10, 116, 20), (100, 10, 105, 20),
                              (0, 1, 1, 3)]:
-        got = rho_index(Normal(m1, s1), Normal(m2, s2), GridSpec(4001))
+        got = rho_index(Normal(m1, s1), Normal(m2, s2))
         ref = stats.norm.cdf((m1 - m2) / np.hypot(s1, s2))
-        assert abs(got - ref) < 5e-4
+        assert abs(got - ref) < 1e-12
+
+
+def test_index_report_finds_a_tail_crossing():
+    # the quantile curves cross once, at t = 1 - 3.9e-5, beyond the
+    # levels j/20002; missing it gave gamma = 0 < pi = 1.55e-6
+    F, G = Normal(0, 1), Normal(0.395, 0.9)
+    rep = index_report(F, G)
+    assert rep.gamma == pytest.approx(two_normal_gamma(0, 1, 0.395, 0.9),
+                                      rel=0, abs=1e-12)
+    assert rep.pi == pytest.approx(1.55e-6, rel=1e-2)
+
+
+def rho_quad(F, G):
+    """int G f dx by adaptive quadrature between both models' quantiles
+    at levels from 1e-10 to 1 - 1e-10, plus the tail terms of
+    `rho_index` beyond them (each off by at most 1e-20).  The cuts keep
+    every narrow component and the gaps between them in pieces of their
+    own, where `quad` sees them."""
+    tail = np.logspace(-10, -1, 10)
+    u = np.concatenate((tail, np.linspace(0.1, 0.9, 17)[1:-1], 1 - tail))
+    cuts = np.unique(np.concatenate((F.quantile(u), G.quantile(u))))
+    # pieces narrower than 1e-8 make quad warn of bad integrand behaviour
+    cuts = cuts[np.concatenate(([True], np.diff(cuts) > 1e-8))]
+    body = sum(integrate.quad(lambda x: float(G.cdf(x) * F.density(x)),
+                              a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+               for a, b in zip(cuts[:-1], cuts[1:]))
+    a, b = cuts[0], cuts[-1]
+    return float(body + F.cdf(a) * G.cdf(a) + (1 - F.cdf(b)) * G.cdf(b))
+
+
+def test_rho_t1_pairs_match_closed_forms():
+    # t1(a) = (Z + a)/|W|, so t1(a) > t1(b) iff Z1 sin u - Z2 cos u >
+    # b cos u - a sin u, with the angle u of (|W1|, |W2|) uniform
+    def t1_t1(a, b):
+        return 2 / np.pi * integrate.quad(
+            lambda u: stats.norm.cdf(a * np.sin(u) - b * np.cos(u)),
+            0, np.pi / 2, epsabs=1e-15)[0]
+
+    # and t1(a) > N(mu, sd) iff Z + a - s mu > s sd Z', with s = |W|
+    def t1_normal(a, mu, sd):
+        return integrate.quad(
+            lambda s: stats.norm.cdf((a - s * mu) / np.hypot(1, s * sd))
+            * 2 * stats.norm.pdf(s), 0, np.inf, epsabs=1e-15)[0]
+
+    assert rho_index(NoncentralT1(0.3), NoncentralT1(-0.5)) == pytest.approx(
+        t1_t1(0.3, -0.5), rel=0, abs=1e-13)
+    assert rho_index(NoncentralT1(1.0), NoncentralT1(1.0)) == pytest.approx(
+        0.5, rel=0, abs=1e-13)
+    for a, mu, sd in [(5.0, 3.0, 0.1), (0.5, 13.13, 10.0)]:
+        assert rho_index(NoncentralT1(a), Normal(mu, sd)) == pytest.approx(
+            t1_normal(a, mu, sd), rel=0, abs=1e-13)
+
+
+samples = st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=40).map(
+    Empirical)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.tuples(models, models), st.tuples(samples, models),
+                 st.tuples(models, samples)))
+def test_exact_indices_complement_and_chain(pair):
+    F, G = pair
+    gamma, rho, pi = gamma_index(F, G), rho_index(F, G), pi_index(F, G)
+    assert pi <= gamma + 1e-12
+    assert pi <= rho + 1e-12
+    assert abs(rho + rho_index(G, F) - 1.0) <= 1e-12
+    # the quantile curves of two different continuous laws agree on a
+    # null set; equal laws give gamma = 0 both ways
+    if pi + pi_index(G, F) > 1e-6:
+        assert abs(gamma + gamma_index(G, F) - 1.0) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(models, models)
+def test_rho_analytic_pairs_match_quad(F, G):
+    assert rho_index(F, G) == pytest.approx(rho_quad(F, G), rel=0,
+                                            abs=1e-12)
+
+
+# one model per family, with its quantiles on 10**6 - 1 interior levels
+GRID_MODELS = [Normal(0.3, 1.2), NoncentralT1(0.7),
+               NormalMixture([(0.3, -1.0, 0.5), (0.7, 1.0, 1.0)])]
+FINE = np.arange(1, 10**6) / 10**6
+
+
+@pytest.fixture(scope="module")
+def fine_quantiles():
+    return [np.asarray(M.quantile(FINE)) for M in GRID_MODELS]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(range(len(GRID_MODELS))),
+       st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=40))
+def test_sample_model_pairs_match_fine_grid(fine_quantiles, k, xs):
+    M, qm, E = GRID_MODELS[k], fine_quantiles[k], Empirical(xs)
+    qe = np.asarray(E.quantile(FINE))
+    # {t : E^{-1}(t) > M^{-1}(t)} is at most n intervals, and a grid of
+    # spacing h = 1e-6 counts the length of each to within h; the two
+    # end pieces it leaves out and the mean's 1/(N - 1) add up to 3h
+    tol = (E.n + 3) * 1e-6
+    assert abs(gamma_index(E, M) - np.mean(qe > qm)) <= tol
+    assert abs(gamma_index(M, E) - np.mean(qm > qe)) <= tol
+    # t -> E(M^{-1}(t)-) is monotone from 0 to 1, so its grid mean is
+    # within h of the integral, plus the same 3h
+    left = np.searchsorted(E.values, qm, side="left") / E.n
+    assert abs(rho_index(M, E) - left.mean()) <= 4e-6
 
 
 def test_rho_empirical_is_exact_pair_count():
@@ -81,9 +187,6 @@ def test_pi_matches_refinement_on_builtin_scenarios(name, swap):
     F, G = (sc.G, sc.F) if swap else (sc.F, sc.G)
     assert pi_index(F, G) == pytest.approx(sup_gap_reference(F, G)[0],
                                            rel=0, abs=1e-12)
-
-
-models = st.one_of(normals(), mixtures(), t1s())
 
 
 @settings(max_examples=40, deadline=None)
@@ -225,8 +328,8 @@ def test_grid_spec_validation_and_interior():
 def test_index_report_consistency_and_csv():
     F, G = Normal(100, 10), Normal(116, 20)
     rep = index_report(F, G)
-    assert rep.pi <= rep.gamma + 2 / 999 + 1e-9
-    assert rep.pi <= rep.rho + 2 / 999 + 1e-9
+    assert rep.pi <= rep.gamma + 1e-12
+    assert rep.pi <= rep.rho + 1e-12
     assert rep.vartheta == pytest.approx(1 - pi_index(G, F))
     row = rep.to_csv_row()
     assert len(row) == len(rep.csv_header())

@@ -253,14 +253,29 @@ def test_find_crossings_rejects_tangency():
 
 def test_find_crossings_two_crossing_pair():
     # mean and scale both differ: quantile difference changes sign once,
-    # but a mixture against a normal can cross twice
+    # but a mixture against a normal can cross more often; this one
+    # crosses twice in the bulk and once more at t = 1 - 7.65e-6, where
+    # F's wider normal tail overtakes G's
+    from scipy import optimize, stats
     from stochord import NormalMixture
     F = Normal(0.0, 1.4135)
     G = NormalMixture([(0.02, -4.0, 3.0), (0.98, 1.0, 1.0)])
     cross, gamma = find_crossings(F, G, lam=0.5)
-    assert len(cross.t) == 2
+    assert len(cross.t) == 3
     assert gamma == pytest.approx(0.02, abs=5e-4)
     assert gamma_limit_variance(cross) > 0.0
+
+    # the third crossing as a root of the survival functions' difference,
+    # which keeps its relative accuracy this far into the upper tail
+    def sf_gap(x):
+        return (stats.norm.sf(x / 1.4135)
+                - 0.02 * stats.norm.sf((x + 4.0) / 3.0)
+                - 0.98 * stats.norm.sf(x - 1.0))
+    root = optimize.brentq(sf_gap, 4.0, 8.0, xtol=1e-15, rtol=1e-15)
+    assert cross.x[2] == pytest.approx(root, rel=1e-12)
+    assert cross.t[2] == pytest.approx(1.0 - stats.norm.sf(root / 1.4135),
+                                       rel=0.0, abs=1e-15)
+    assert 1.0 - cross.t[2] == pytest.approx(7.65e-6, rel=1e-3)
 
 
 def test_pi_limit_single_contact_matches_normal_law():

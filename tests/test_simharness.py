@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stochord import (DomainError, GridSpec, Normal, Scenario, SeedSpec,
+from stochord import (DomainError, Normal, Scenario, SeedSpec,
                       asymptotic_law_experiment, builtin_scenarios, run_table,
                       run_table1_cell, verify_nominal_gamma)
 
@@ -27,7 +27,7 @@ def test_nominal_gamma_spot_checks():
 def test_nominal_gamma_identical_pair_is_zero():
     s = Scenario(name="null", F=Normal(0, 1), G=Normal(0, 1),
                  nominal_gamma=0.0)
-    assert verify_nominal_gamma(s, GridSpec(1001)) == 0.0
+    assert verify_nominal_gamma(s) == 0.0
 
 
 def test_cell_thread_count_invariance():
