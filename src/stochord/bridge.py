@@ -56,10 +56,7 @@ def bridge_path(m: int = 2048, seed: SeedSpec | int | None = None) -> BridgePath
     steps = rng.standard_normal(m) / np.sqrt(m)
     w = np.concatenate(([0.0], np.cumsum(steps)))
     t = np.arange(m + 1) / m
-    values = w - t * w[-1]
-    values[0] = 0.0
-    values[-1] = 0.0
-    return BridgePath(m=m, values=values)
+    return BridgePath(m=m, values=w - t * w[-1])
 
 
 @dataclass(frozen=True)

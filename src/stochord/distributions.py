@@ -6,9 +6,10 @@ Every model exposes the same surface: ``cdf(x)``, ``density(x)``,
 scalars or numpy arrays and are vectorized.
 
 The quantile and the CDF satisfy the Galois duality
-``t <= F(x)  iff  quantile(t) <= x``: exactly for empirical models, and
-up to the stated numeric tolerance (1e-10 in the central range, machine
-precision in CDF space everywhere) for the analytic families.
+``t <= F(x)  iff  quantile(t) <= x``: exactly for empirical models and
+mixtures of two or more distinct components, and up to the stated
+numeric tolerance (1e-10 in the central range, machine precision in CDF
+space everywhere) for the other analytic families.
 
 The noncentral t with one degree of freedom has closed forms for its CDF
 (Owen's T function, with a cancellation-free variant in the lower tail)
@@ -55,6 +56,24 @@ def _as_prob_array(t) -> tuple[np.ndarray, bool]:
 
 def _maybe_scalar(values: np.ndarray, scalar: bool):
     return float(values) if scalar else values
+
+
+def _bisect(above, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect all brackets [lo_k, hi_k] together until each one's ends
+    are adjacent doubles; ``above(x, k)`` tells whether x, inside bracket
+    k, lies on its hi side (the ends are never evaluated).  The midpoint
+    0.5 a + 0.5 b cannot overflow.  Returns the final (lo, hi)."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    active = np.arange(lo.size)
+    while active.size:
+        a, b = lo[active], hi[active]
+        mid = 0.5 * a + 0.5 * b
+        live = (a < mid) & (mid < b)
+        active, a, b, mid = active[live], a[live], b[live], mid[live]
+        up = above(mid, active)
+        lo[active] = np.where(up, a, mid)
+        hi[active] = np.where(up, mid, b)
+    return lo, hi
 
 
 class Distribution:
@@ -345,31 +364,19 @@ class NormalMixture(Distribution):
                                  for w, m, s in self.components), x.ndim == 0)
 
     def quantile(self, t):
+        """Least double x with cdf(x) >= t.  At the least of the
+        components' quantiles at s = t / sum(w) every Phi_k <= s, at the
+        largest every Phi_k >= s: so they bracket F = t = s sum(w)."""
+        from scipy.special import ndtri
         t, scalar = _as_prob_array(t)
-        tj = np.atleast_1d(np.asarray(t, dtype=float))
-        span = 12.0 * self._s.max()
-        lo = np.full(tj.shape, self._m.min() - span)
-        hi = np.full(tj.shape, self._m.max() + span)
-        for _ in range(100):
-            bad = self.cdf(lo) >= tj
-            if not bad.any():
-                break
-            lo = np.where(bad, lo - 2.0 * (hi - lo), lo)
-        else:
-            raise NumericError("mixture quantile bracket failed on the left")
-        for _ in range(100):
-            bad = self.cdf(hi) < tj
-            if not bad.any():
-                break
-            hi = np.where(bad, hi + 2.0 * (hi - lo), hi)
-        else:
-            raise NumericError("mixture quantile bracket failed on the right")
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            under = self.cdf(mid) < tj
-            lo = np.where(under, mid, lo)
-            hi = np.where(under, hi, mid)
-        out = hi
+        tj = np.atleast_1d(t)
+        s = tj / self._w.sum()
+        if (s >= 1.0).any():
+            raise NumericError("mixture quantile level exceeds the weights' "
+                               "sum: the CDF never reaches it")
+        q = self._m[:, None] + self._s[:, None] * ndtri(s)
+        _, out = _bisect(lambda x, k: self.cdf(x) >= tj[k],
+                         q.min(axis=0), q.max(axis=0))
         return _maybe_scalar(out if not scalar else out[0], scalar)
 
     def sample(self, n: int, seed: SeedSpec | int) -> np.ndarray:

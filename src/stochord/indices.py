@@ -24,8 +24,8 @@ empirical models use exact order-statistic computations.  A sample
 against a continuous model sums over the sample's order statistics.
 Two continuous models use the crossings of their quantile curves,
 bisected to adjacent doubles as roots of G - F (gamma), the roots of
-g - f (pi), or Gauss-Legendre quadrature between quantile knots (rho,
-epsilon).  No index depends on a grid.
+g - f (pi), or Gauss-Legendre quadrature between quantile knots (rho)
+and the roots of G - F (epsilon).  No index depends on a grid.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, Empirical, _order_index
+from .distributions import Distribution, Empirical, _bisect, _order_index
 from .errors import DomainError, NumericError, ParameterError
 
 __all__ = [
@@ -195,8 +195,7 @@ def rho_index(F: Distribution, G: Distribution) -> float:
     if f_emp:
         return float(np.mean(G.cdf(F.values)))
     knots = _support_knots(F, G)
-    pieces = knots[:-1, None] + np.diff(knots)[:, None] * (np.arange(4) / 4)
-    xs, w = _gauss_legendre(np.append(pieces.ravel(), knots[-1]))
+    xs, w = _gauss_legendre(knots, 4)
     x = xs.ravel()
     body = np.sum(np.asarray(G.cdf(x)) * np.asarray(F.density(x)) * w.ravel())
     (fa, fb), (ga, gb) = (np.asarray(D.cdf(knots[[0, -1]])) for D in (F, G))
@@ -215,28 +214,19 @@ def _tail_u_grid(n_core: int = 2048) -> np.ndarray:
 
 def _sign_roots(h, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Roots of a vectorized ``h`` at its sign changes on the sorted grid
-    ``xs`` (h can vanish on a whole run of grid points), all bisected
-    together until each bracket's ends are adjacent doubles.  Zeros of h
-    count with its negative side: a bracket across a run of them is
-    bisected to the end of the run that meets h > 0, so the run lies on
-    a piece of negative sign.  Returns the roots and the sign of h on the
-    pieces between them: that of the first nonzero grid point above
-    each root, and below the first (0 if h vanishes on the whole
-    grid)."""
+    ``xs`` (h can vanish on a whole run of grid points), bisected to
+    adjacent doubles by `_bisect`.  Zeros of h count with its negative
+    side: a bracket across a run of them is bisected to the end of the
+    run that meets h > 0, so the run lies on a piece of negative sign.
+    Returns the roots and the sign of h on the pieces between them: that
+    of the first nonzero grid point above each root, and below the first
+    (0 if h vanishes on the whole grid)."""
     sign = np.sign(h(xs))
     nz = np.flatnonzero(sign)
     flip = np.flatnonzero(sign[nz[:-1]] != sign[nz[1:]])
-    lo, hi = xs[nz[flip]], xs[nz[flip + 1]]
-    side = sign[nz[flip]]
-    active = np.arange(flip.size)
-    while active.size:
-        a, b = lo[active], hi[active]
-        mid = 0.5 * (a + b)
-        live = (a < mid) & (mid < b)
-        active, a, b, mid = active[live], a[live], b[live], mid[live]
-        keep = (h(mid) > 0) == (side[active] > 0)
-        lo[active] = np.where(keep, mid, a)
-        hi[active] = np.where(keep, b, mid)
+    side = sign[nz[flip]] > 0
+    lo, hi = _bisect(lambda x, k: (h(x) > 0) != side[k],
+                     xs[nz[flip]], xs[nz[flip + 1]])
     first = nz[np.concatenate(([0], flip + 1))] if nz.size else [0]
     return 0.5 * (lo + hi), sign[first]
 
@@ -324,10 +314,14 @@ def _support_knots(F: Distribution, G: Distribution) -> np.ndarray:
 _GL16 = np.polynomial.legendre.leggauss(16)
 
 
-def _gauss_legendre(knots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_legendre(knots: np.ndarray, pieces: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights, as (k, 16) arrays, of the 16-point
-    Gauss-Legendre rule on each of the k intervals between sorted knots."""
-    lo, hi = knots[:-1], knots[1:]
+    Gauss-Legendre rule on each of the k = pieces (len(knots) - 1)
+    equal parts of the intervals between sorted knots."""
+    step = np.diff(knots)[:, None] * (np.arange(pieces) / pieces)
+    ends = np.append((knots[:-1, None] + step).ravel(), knots[-1])
+    lo, hi = ends[:-1], ends[1:]
     half = 0.5 * (hi - lo)
     xs = 0.5 * (lo + hi)[:, None] + half[:, None] * _GL16[0]
     return xs, half[:, None] * _GL16[1]
@@ -352,10 +346,15 @@ def epsilon_index(F: Distribution, G: Distribution) -> float | None:
         pos = float(np.sum(np.maximum(d, 0.0) * dz))
         tot = float(np.sum(np.abs(d) * dz))
     else:
-        knots = _support_knots(F, G)
-        xs, w = _gauss_legendre(knots)
-        d = (np.asarray(G.cdf(xs.ravel())) -
-             np.asarray(F.cdf(xs.ravel()))).reshape(xs.shape)
+        def gap(x):
+            return np.asarray(G.cdf(x)) - np.asarray(F.cdf(x))
+
+        knots, pieces = _support_knots(F, G), 1
+        if not (isinstance(F, Empirical) or isinstance(G, Empirical)):
+            # (G - F)^+ and |G - F| have kinks at the roots of G - F
+            knots, pieces = np.union1d(knots, _sign_roots(gap, knots)[0]), 4
+        xs, w = _gauss_legendre(knots, pieces)
+        d = gap(xs.ravel()).reshape(xs.shape)
         pos = float(np.sum(np.maximum(d, 0.0) * w))
         tot = float(np.sum(np.abs(d) * w))
         span = float(knots[-1] - knots[0])

@@ -345,17 +345,12 @@ def pi_limit_sample(F: Distribution, G: Distribution, lam: float,
 
 def _bridge_at(rng: np.random.Generator, points: np.ndarray,
                n_paths: int) -> np.ndarray:
-    """Exact joint samples of a Brownian bridge at arbitrary sorted
-    points of [0,1]: Gaussian-increment walk W minus t*W(1)."""
-    order = np.argsort(points)
-    pts = points[order]
-    deltas = np.diff(np.concatenate(([0.0], pts)))
-    final_delta = 1.0 - pts[-1] if pts.size else 1.0
-    z = rng.standard_normal((n_paths, pts.size + 1))
-    steps = z[:, :-1] * np.sqrt(np.maximum(deltas, 0.0))
-    w = np.cumsum(steps, axis=1)
-    w1 = w[:, -1] + z[:, -1] * np.sqrt(max(final_delta, 0.0))
-    bridge = w - np.outer(w1, pts)
-    out = np.empty_like(bridge)
-    out[:, order] = bridge
-    return out
+    """Exact joint samples of a Brownian bridge at nondecreasing points
+    of [0,1]: Gaussian-increment walk W minus t*W(1)."""
+    deltas = np.diff(points, prepend=0.0)
+    # a mixture whose weights sum above 1 has a CDF above 1
+    final_delta = max(1.0 - points[-1], 0.0)
+    z = rng.standard_normal((n_paths, points.size + 1))
+    w = np.cumsum(z[:, :-1] * np.sqrt(deltas), axis=1)
+    w1 = w[:, -1] + z[:, -1] * np.sqrt(final_delta)
+    return w - np.outer(w1, points)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from stochord import (DataError, DomainError, Empirical, NoncentralT1, Normal,
-                      NormalMixture, ParameterError, SeedSpec,
+                      NormalMixture, NumericError, ParameterError, SeedSpec,
                       from_descriptor)
 
 
@@ -84,6 +84,48 @@ def test_mixture_quantile_roundtrip():
     ts = np.linspace(1e-8, 1 - 1e-8, 401)
     back = d.cdf(d.quantile(ts))
     assert np.max(np.abs(back - ts)) < 1e-10
+
+
+sds = st.floats(1e-3, 1e3)
+
+
+@st.composite
+def far_mixtures(draw):
+    """Two components at least 40 summed sds apart, sds 1e-3 to 1e3."""
+    w, s1, s2 = draw(st.floats(0.01, 0.99)), draw(sds), draw(sds)
+    m1 = draw(st.floats(-1e3, 1e3))
+    m2 = m1 + draw(st.floats(40.0, 1e3)) * (s1 + s2)
+    return NormalMixture([(w, m1, s1), (1.0 - w, m2, s2)])
+
+
+# from 1e-300 to 1/2, and from 1/2 to 1 - 1e-15
+levels = st.one_of(st.floats(0.30103, 300.0).map(lambda e: 10.0 ** -e),
+                   st.floats(0.30103, 15.0).map(lambda e: 1.0 - 10.0 ** -e))
+
+
+@settings(max_examples=100, deadline=None)
+@given(far_mixtures(), st.lists(levels, min_size=1, max_size=20))
+def test_mixture_quantile_is_the_least_double_reaching_t(d, ts):
+    t = np.array(ts)
+    q = np.asarray(d.quantile(t))
+    assert np.all(d.cdf(q) >= t)
+    assert np.all(d.cdf(np.nextafter(q, -np.inf)) < t)
+
+
+def test_mixture_quantile_beyond_the_weights_raises():
+    # the weights sum to 1 - 5e-10, so the CDF never reaches 1 - 1e-10
+    d = NormalMixture([(0.5, 0.0, 1.0), (0.5 - 5e-10, 3.0, 1.0)])
+    with pytest.raises(NumericError):
+        d.quantile(1.0 - 1e-10)
+
+
+def test_one_component_mixture_quantile_is_the_normal_one():
+    ts = np.concatenate((np.logspace(-300, -1, 50),
+                         np.linspace(0.01, 0.99, 99),
+                         1.0 - np.logspace(-15, -1, 50)))
+    for m, s in [(0.0, 1.0), (-3.5, 0.01), (1e3, 250.0)]:
+        assert np.array_equal(NormalMixture([(1.0, m, s)]).quantile(ts),
+                              Normal(m, s).quantile(ts))
 
 
 def test_mixture_weights_must_sum_to_one():
