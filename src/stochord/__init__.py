@@ -32,8 +32,8 @@ _EXPORTS = {
                   "CrossingSpec", "gamma_limit_variance", "find_crossings",
                   "pi_limit_sample"),
     "bridge": ("BridgePath", "bridge_path", "SubsetSpec",
-               "occupation_positive", "make_gamma_set_pair",
-               "nonconsistency_demo"),
+               "occupation_positive", "occupation_experiment",
+               "make_gamma_set_pair", "nonconsistency_demo"),
     "simharness": ("Scenario", "builtin_scenarios", "verify_nominal_gamma",
                    "ExperimentResult", "run_table1_cell", "run_table",
                    "asymptotic_law_experiment"),

@@ -15,14 +15,15 @@ import numpy as np
 
 from .distributions import Distribution
 from .errors import DomainError
-from .inference import gamma_plugin
-from .rng import SeedSpec, as_seed
+from .inference import _plugin_replicates
+from .rng import SeedSpec, as_seed, block_rows, draw_rows, map_blocks
 
 __all__ = [
     "BridgePath",
     "SubsetSpec",
     "bridge_path",
     "occupation_positive",
+    "occupation_experiment",
     "nonconsistency_demo",
     "make_gamma_set_pair",
 ]
@@ -31,32 +32,42 @@ __all__ = [
 @dataclass(frozen=True)
 class BridgePath:
     """Bridge values B(t_j) at t_j = j/m, j = 0..m, pinned to 0 at both
-    ends with marginal variance t(1-t)."""
+    ends with marginal variance t(1-t): one path of shape (m + 1,), or
+    one path per row of shape (rows, m + 1)."""
 
     m: int
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.shape != (self.m + 1,):
-            raise DomainError("values must have length m + 1")
+        if self.values.ndim not in (1, 2) \
+                or self.values.shape[-1] != self.m + 1:
+            raise DomainError("values must have length m + 1 per path")
 
 
-def bridge_path(m: int = 2048, seed: SeedSpec | int | None = None) -> BridgePath:
-    """Simulate one standard Brownian bridge on a grid of size m.
+def _grid_size(m: int) -> int:
+    m = int(m)
+    if m < 2 or (m & (m - 1)) != 0:
+        raise DomainError("bridge grid size must be a power of two >= 2")
+    return m
+
+
+def bridge_path(m: int = 2048, seed=None) -> BridgePath:
+    """Simulate a standard Brownian bridge on a grid of size m.
 
     Construction: cumulative Gaussian walk W(t_j) with increments of
     variance 1/m, then B(t_j) = W(t_j) - t_j W(1), which pins both
     endpoints exactly and has the bridge covariance min(s,t) - st at
-    the grid points.
+    the grid points.  ``seed`` is one seed (a SeedSpec, an int or None)
+    for one path, or a sequence of seeds for one path per seed, stacked
+    in rows; each path equals the one its seed gives alone.
     """
-    m = int(m)
-    if m < 2 or (m & (m - 1)) != 0:
-        raise DomainError("bridge grid size must be a power of two >= 2")
-    rng = as_seed(seed).generator()
-    steps = rng.standard_normal(m) / np.sqrt(m)
-    w = np.concatenate(([0.0], np.cumsum(steps)))
+    m = _grid_size(m)
+    steps = draw_rows(seed, (m,), lambda rng, out: rng.standard_normal(out=out))
+    steps /= np.sqrt(m)
+    w = np.zeros(steps.shape[:-1] + (m + 1,))
+    np.cumsum(steps, axis=-1, out=w[..., 1:])
     t = np.arange(m + 1) / m
-    return BridgePath(m=m, values=w - t * w[-1])
+    return BridgePath(m=m, values=w - t * w[..., -1:])
 
 
 @dataclass(frozen=True)
@@ -102,18 +113,34 @@ class SubsetSpec:
                 "length": self.length}
 
 
-def occupation_positive(path: BridgePath,
-                        subset: SubsetSpec | None = None) -> float:
-    """Grid measure of {t_j in subset : B(t_j) > 0}, weighted by 1/m.
+def occupation_positive(path: BridgePath, subset: SubsetSpec | None = None):
+    """Grid measure of {t_j in subset : B(t_j) > 0}, weighted by 1/m: a
+    float for one path, one value per row for stacked paths.
 
     Strict positivity: grid points where the path is exactly zero (the
     endpoints) never count.
     """
-    t = np.arange(path.m + 1) / path.m
     mask = path.values > 0.0
     if subset is not None:
-        mask &= subset.contains(t)
-    return float(np.sum(mask) / path.m)
+        mask &= subset.contains(np.arange(path.m + 1) / path.m)
+    out = np.count_nonzero(mask, axis=-1) / path.m
+    return float(out) if path.values.ndim == 1 else out
+
+
+def occupation_experiment(paths: int, m: int = 2048,
+                          subset: SubsetSpec | None = None,
+                          seed: SeedSpec | int | None = None,
+                          threads: int = 1) -> np.ndarray:
+    """`occupation_positive` of ``paths`` bridges on a grid of size m,
+    path i drawn from seed.child(i).  The paths run through `map_blocks`
+    in blocks of rows, one `bridge_path` call per block."""
+    m = _grid_size(m)
+    seed = as_seed(seed)
+
+    def fill(lo: int, hi: int) -> np.ndarray:
+        block = bridge_path(m, [seed.child(i) for i in range(lo, hi)])
+        return occupation_positive(block, subset)
+    return map_blocks(fill, paths, block_rows(m + 1), threads)
 
 
 class _PiecewiseShiftQuantile(Distribution):
@@ -137,8 +164,10 @@ class _PiecewiseShiftQuantile(Distribution):
         arr = np.asarray(t, dtype=float)
         scalar = arr.ndim == 0
         tj = np.atleast_1d(arr)
-        piece = np.searchsorted(np.asarray(self.breaks), tj, side="left")
-        out = tj + np.asarray(self.shifts)[piece]
+        # the piece of t is the number of breaks below it (what
+        # searchsorted with side="left" gives), for any shape of t
+        piece = sum(tj > b for b in self.breaks)
+        out = tj + np.take(self.shifts, piece)
         return float(out[0]) if scalar else out
 
     def cdf(self, x):
@@ -160,8 +189,8 @@ class _PiecewiseShiftQuantile(Distribution):
         raise DomainError("piecewise-shift model has atomic-free but "
                           "non-smooth law; density not provided")
 
-    def sample(self, n: int, seed: SeedSpec | int) -> np.ndarray:
-        u = as_seed(seed).generator().random(int(n))
+    def sample(self, n: int, seed) -> np.ndarray:
+        u = draw_rows(seed, (int(n),), lambda rng, out: rng.random(out=out))
         return self.quantile(np.clip(u, np.nextafter(0.0, 1.0),
                                      np.nextafter(1.0, 0.0)))
 
@@ -198,7 +227,8 @@ def nonconsistency_demo(F: Distribution | None = None,
                         gamma_set_length: float | None = None,
                         n: int = 10000, m: int | None = None,
                         reps: int = 2000, bins: int = 40,
-                        seed: SeedSpec | int | None = None) -> dict:
+                        seed: SeedSpec | int | None = None,
+                        threads: int = 1) -> dict:
     """Monte Carlo distribution of the plug-in error gamma_hat - gamma.
 
     With the default built-in pair (quantiles agreeing on [1/3, 2/3])
@@ -206,7 +236,10 @@ def nonconsistency_demo(F: Distribution | None = None,
     agreement set: a nondegenerate variable with mean l(Gamma)/2 = 1/6.
     Supplying a pair with an agreement set of length zero makes the
     demo degenerate to ordinary consistency (mean near 0); a warning is
-    emitted since that no longer demonstrates anything.
+    emitted since that no longer demonstrates anything.  Replicate r
+    draws its samples from seed.child(r, 0) and seed.child(r, 1), in
+    blocks on ``threads`` pool threads; the result does not depend on
+    ``threads``.
     """
     if (F is None) != (G is None):
         raise DomainError("supply both F and G or neither")
@@ -222,11 +255,7 @@ def nonconsistency_demo(F: Distribution | None = None,
                       "to ordinary consistency", stacklevel=2)
     m = n if m is None else m
     seed = as_seed(seed)
-    errors = np.empty(reps)
-    for r in range(reps):
-        xs = F.sample(n, seed.child(r, 0))
-        ys = G.sample(m, seed.child(r, 1))
-        errors[r] = gamma_plugin(xs, ys) - gamma_true
+    errors = _plugin_replicates(F, G, n, m, reps, seed, threads) - gamma_true
     lo = min(-0.05, float(errors.min()))
     hi = max((gamma_set_length or 0.0) + 0.05, float(errors.max()))
     counts, edges = np.histogram(errors, bins=bins, range=(lo, hi))

@@ -7,6 +7,12 @@ configuration; re-running the same configuration reproduces the report
 files byte for byte.  Wall-clock timing goes to a separate
 run_info.json, which is the only non-reproducible output.
 
+``simulate-table``, ``bridge-lab`` and ``limit-law`` take ``--threads``
+(default: the core count) for their replicate loops, which run in blocks
+on a thread pool of at most one thread per core.  Every replicate draws
+from its own seeded stream, so the count never changes a report byte,
+and it stays out of the configuration hash.
+
 Exit codes: 0 success, 2 usage/argument problems, 3 data ingestion
 problems, 4 numeric failures or violated assumptions.
 
@@ -132,6 +138,13 @@ def _write_run_info(config: CommandConfig, started: float) -> None:
     })
 
 
+def _threads(options: dict) -> int:
+    """Pool threads of a replicate loop.  A config rebuilt from a
+    report's provenance has none, since the count never changes a
+    report byte: it runs on one."""
+    return options.get("threads", 1)
+
+
 def _require_two(count: int, flag: str) -> None:
     """Reports give the draws' standard deviation, which needs two."""
     if count < 2:
@@ -200,7 +213,7 @@ def _cmd_simulate_table(config: CommandConfig) -> None:
         gamma0 = opt["gamma0"] if opt["gamma0"] is not None else sc.nominal_gamma
         cells.append((sc, gamma0, opt["n"]))
     results = run_table(cells, opt["reps"], opt["B"], opt["alpha"],
-                        SeedSpec(config.seed), threads=opt.get("threads", 1))
+                        SeedSpec(config.seed), threads=_threads(opt))
     nominal = {sc.name: verify_nominal_gamma(sc) for sc in wanted} \
         if opt.get("verify_nominal") else None
     payload = {
@@ -225,8 +238,7 @@ def _cmd_simulate_table(config: CommandConfig) -> None:
 def _cmd_bridge_lab(config: CommandConfig) -> None:
     import numpy as np
 
-    from .bridge import (SubsetSpec, bridge_path, nonconsistency_demo,
-                         occupation_positive)
+    from .bridge import SubsetSpec, nonconsistency_demo, occupation_experiment
     from .io_utils import atomic_write_csv, atomic_write_json
     from .rng import SeedSpec
     opt = config.options
@@ -234,10 +246,8 @@ def _cmd_bridge_lab(config: CommandConfig) -> None:
     if opt["mode"] == "occupation":
         _require_two(opt["paths"], "--paths")
         subset = SubsetSpec.parse(opt["subset"]) if opt.get("subset") else None
-        occ = np.empty(opt["paths"])
-        for i in range(opt["paths"]):
-            occ[i] = occupation_positive(
-                bridge_path(opt["bridge_grid"], seed.child(i)), subset)
+        occ = occupation_experiment(opt["paths"], opt["bridge_grid"], subset,
+                                    seed, _threads(opt))
         counts, edges = np.histogram(occ, bins=50, range=(0.0, 1.0))
         atomic_write_csv(config.out_dir / "occupation_hist.csv",
                          ["bin_left", "bin_right", "count"],
@@ -252,7 +262,8 @@ def _cmd_bridge_lab(config: CommandConfig) -> None:
             "sd": float(occ.std(ddof=1)),
             "provenance": _provenance(config)})
     else:
-        summary = nonconsistency_demo(n=opt["n"], reps=opt["reps"], seed=seed)
+        summary = nonconsistency_demo(n=opt["n"], reps=opt["reps"], seed=seed,
+                                      threads=_threads(opt))
         atomic_write_csv(config.out_dir / "nonconsistency_hist.csv",
                          ["bin_left", "bin_right", "count"],
                          [[summary["histogram"]["edges"][i],
@@ -274,7 +285,7 @@ def _cmd_limit_law(config: CommandConfig) -> None:
     seed = SeedSpec(config.seed)
     if opt["index"] == "gamma":
         draws, ref_var = asymptotic_law_experiment(F, G, opt["n"], opt["reps"],
-                                                   seed)
+                                                   seed, threads=_threads(opt))
         payload = {
             "index": "gamma",
             "n": opt["n"],
@@ -361,6 +372,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="master seed (fallback: STOCHORD_SEED, then 0)")
         p.add_argument("--out", default=".", help="output directory")
 
+    def threads(p):
+        p.add_argument("--threads", type=_positive(int),
+                       default=os.cpu_count() or 1,
+                       help="pool threads of the replicate loop, at most one "
+                       "per core (default: the core count); the reports "
+                       "are the same at any count")
+
     p = sub.add_parser("indices", help="compute all departure indices")
     p.add_argument("--f", required=True, help="model JSON or sample CSV")
     p.add_argument("--g", required=True, help="model JSON or sample CSV")
@@ -398,9 +416,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=_positive(int), required=True)
     p.add_argument("--B", type=_positive(int), default=1000)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--threads", type=_positive(int), default=1)
     p.add_argument("--verify-nominal", action="store_true",
                    help="include the exact nominal gamma check")
+    threads(p)
     common(p)
 
     p = sub.add_parser("bridge-lab", help="bridge occupation experiments")
@@ -413,6 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="sample size (nonconsistency mode)")
     p.add_argument("--reps", type=_positive(int), default=2000,
                    help="replicates (nonconsistency mode)")
+    threads(p)
     common(p)
 
     p = sub.add_parser("limit-law", help="asymptotic-law Monte Carlo")
@@ -423,6 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=_positive(int), default=2000)
     p.add_argument("--lam", type=float, default=0.5,
                    help="sampling fraction for the pi limit")
+    threads(p)
     common(p)
 
     return ap

@@ -3,7 +3,8 @@
 Every model exposes the same surface: ``cdf(x)``, ``density(x)``,
 ``quantile(t)`` (the left-continuous generalized inverse
 ``inf{x : t <= F(x)}``), and ``sample(n, seed)``.  All evaluators accept
-scalars or numpy arrays and are vectorized.
+scalars or numpy arrays and are vectorized; ``sample`` given a sequence
+of seeds returns one sample per seed, stacked in rows.
 
 The quantile and the CDF satisfy the Galois duality
 ``t <= F(x)  iff  quantile(t) <= x``: exactly for empirical models and
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, DomainError, NumericError, ParameterError
-from .rng import SeedSpec, as_seed
+from .rng import draw_rows
 
 __all__ = [
     "Distribution",
@@ -90,7 +91,10 @@ class Distribution:
     def quantile(self, t):
         raise NotImplementedError
 
-    def sample(self, n: int, seed: SeedSpec | int) -> np.ndarray:
+    def sample(self, n: int, seed) -> np.ndarray:
+        """n draws from the stream of ``seed`` (a SeedSpec or an int), or
+        an array (k, n) for a sequence of k seeds, row i equal to the
+        sample of seed i alone."""
         raise NotImplementedError
 
     def to_json(self) -> dict:
@@ -136,9 +140,10 @@ class Normal(Distribution):
         t, scalar = _as_prob_array(t)
         return _maybe_scalar(self.mean + self.sd * ndtri(t), scalar)
 
-    def sample(self, n: int, seed: SeedSpec | int) -> np.ndarray:
-        rng = as_seed(seed).generator()
-        return self.mean + self.sd * rng.standard_normal(int(n))
+    def sample(self, n: int, seed) -> np.ndarray:
+        z = draw_rows(seed, (int(n),),
+                      lambda rng, out: rng.standard_normal(out=out))
+        return self.mean + self.sd * z
 
     def to_json(self) -> dict:
         return {"kind": "normal", "mean": self.mean, "sd": self.sd}
@@ -312,10 +317,10 @@ class NoncentralT1(Distribution):
             x[upper] = -self._reflection._solve_lower(p[upper])
         return _maybe_scalar(x if not scalar else x[0], scalar)
 
-    def sample(self, n: int, seed: SeedSpec | int) -> np.ndarray:
-        rng = as_seed(seed).generator()
-        z = rng.standard_normal((2, int(n)))
-        return (z[0] + self.ncp) / np.abs(z[1])
+    def sample(self, n: int, seed) -> np.ndarray:
+        z = draw_rows(seed, (2, int(n)),
+                      lambda rng, out: rng.standard_normal(out=out))
+        return (z[..., 0, :] + self.ncp) / np.abs(z[..., 1, :])
 
     def to_json(self) -> dict:
         return {"kind": "t1", "ncp": self.ncp}
@@ -379,13 +384,14 @@ class NormalMixture(Distribution):
                          q.min(axis=0), q.max(axis=0))
         return _maybe_scalar(out if not scalar else out[0], scalar)
 
-    def sample(self, n: int, seed: SeedSpec | int) -> np.ndarray:
-        rng = as_seed(seed).generator()
-        n = int(n)
-        u = rng.random(n)
-        comp = np.searchsorted(np.cumsum(self._w), u, side="right")
+    def sample(self, n: int, seed) -> np.ndarray:
+        def draw(rng, out):
+            rng.random(out=out[0])
+            rng.standard_normal(out=out[1])
+        d = draw_rows(seed, (2, int(n)), draw)
+        comp = np.searchsorted(np.cumsum(self._w), d[..., 0, :], side="right")
         comp = np.minimum(comp, self._w.size - 1)
-        return self._m[comp] + self._s[comp] * rng.standard_normal(n)
+        return self._m[comp] + self._s[comp] * d[..., 1, :]
 
     def to_json(self) -> dict:
         return {"kind": "mixture",
@@ -430,10 +436,10 @@ class Empirical(Distribution):
         out = self.values[_order_index(self.n, np.atleast_1d(t))]
         return _maybe_scalar(out if not scalar else out[0], scalar)
 
-    def sample(self, n: int, seed: SeedSpec | int) -> np.ndarray:
-        rng = as_seed(seed).generator()
-        idx = rng.integers(0, self.n, size=int(n))
-        return self.values[idx]
+    def sample(self, n: int, seed) -> np.ndarray:
+        def draw(rng, out):
+            out[:] = rng.integers(0, self.n, size=out.size)
+        return self.values[draw_rows(seed, (int(n),), draw, np.int64)]
 
     def to_json(self) -> dict:
         if self.csv_path is not None:

@@ -299,15 +299,21 @@ def vartheta_index(F: Distribution, G: Distribution) -> float:
 
 def _support_knots(F: Distribution, G: Distribution) -> np.ndarray:
     """Breakpoints covering both effective supports for epsilon's
-    integrals, with every empirical atom included."""
+    integrals, with every empirical atom included.  Against a sample of
+    size n, a continuous model adds its quantiles at the sample's levels
+    i/n, where its CDF crosses the sample's steps and G - F changes sign
+    with a kink."""
     knots = []
     u = np.unique(np.concatenate((np.logspace(-10, math.log10(0.5), 201),
                                   1.0 - np.logspace(-10, math.log10(0.5), 201))))
-    for model in (F, G):
+    for model, other in ((F, G), (G, F)):
         if isinstance(model, Empirical):
             knots.append(model.values)
-        else:
-            knots.append(np.asarray(model.quantile(u)))
+            continue
+        knots.append(np.asarray(model.quantile(u)))
+        if isinstance(other, Empirical):
+            knots.append(np.asarray(model.quantile(
+                np.arange(1, other.n) / other.n)))
     return np.unique(np.concatenate(knots))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .distributions import Distribution
 from .errors import DomainError, NumericError
 from .indices import GridSpec, _crossings, _gap_peaks, _sorted_index
-from .rng import SeedSpec, as_seed
+from .rng import SeedSpec, as_seed, block_rows, map_blocks
 
 __all__ = [
     "GaltonResult",
@@ -39,10 +39,13 @@ class GaltonResult(NamedTuple):
     tie_flag: bool
 
 
-def _as_sample(v, name: str) -> np.ndarray:
+def _as_sample(v, name: str, rows: bool = False) -> np.ndarray:
+    """A nonempty 1-D sample of finite floats or, with ``rows``, also a
+    2-D array of one sample per row."""
     arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError(f"{name} must be a nonempty 1-D sample")
+    if arr.ndim not in ((1, 2) if rows else (1,)) or arr.size == 0:
+        raise DomainError(f"{name} must be a nonempty 1-D sample"
+                          + (" or a 2-D array of them" if rows else ""))
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} contains non-finite values")
     return arr
@@ -68,7 +71,7 @@ def galton_test(xs, ys) -> GaltonResult:
     return GaltonResult(count, (count + 1) / (n + 1), tie)
 
 
-def gamma_plugin(xs, ys, grid: GridSpec | None = None) -> float:
+def gamma_plugin(xs, ys, grid: GridSpec | None = None):
     """Plug-in gamma: the measure of {t : F_n^{-1}(t) > G_m^{-1}(t)}.
 
     With ``grid=None`` the measure is computed exactly from the
@@ -78,9 +81,31 @@ def gamma_plugin(xs, ys, grid: GridSpec | None = None) -> float:
     grid points at which the sample quantiles compare instead.  The rho
     and pi plug-ins are ``rho_index`` and ``pi_index`` on two
     ``Empirical`` models.
+
+    Two 1-D samples give a float.  Arrays (k, n) and (k, m) of k sample
+    pairs, one per row, give the k plug-ins, each equal to the one of
+    its row's pair.
     """
-    xs, ys = _as_sample(xs, "xs"), _as_sample(ys, "ys")
-    return float(_sorted_index("gamma", np.sort(xs), np.sort(ys), grid))
+    xs, ys = _as_sample(xs, "xs", rows=True), _as_sample(ys, "ys", rows=True)
+    if xs.shape[:-1] != ys.shape[:-1]:
+        raise DomainError(f"xs and ys need the same rows, got shapes "
+                          f"{xs.shape} and {ys.shape}")
+    out = _sorted_index("gamma", np.sort(xs), np.sort(ys), grid)
+    return float(out) if xs.ndim == 1 else out
+
+
+def _plugin_replicates(F: Distribution, G: Distribution, n: int, m: int,
+                       reps: int, seed: SeedSpec, threads: int = 1
+                       ) -> np.ndarray:
+    """gamma_plugin of ``reps`` seeded sample pairs: replicate r draws n
+    values of F from seed.child(r, 0) and m of G from seed.child(r, 1).
+    The replicates run through `map_blocks`, with one sample call per
+    model and one gamma_plugin call per block."""
+    def fill(lo: int, hi: int) -> np.ndarray:
+        xs = F.sample(n, [seed.child(r, 0) for r in range(lo, hi)])
+        ys = G.sample(m, [seed.child(r, 1) for r in range(lo, hi)])
+        return gamma_plugin(xs, ys)
+    return map_blocks(fill, reps, block_rows(n + m), threads)
 
 
 def bootstrap_sd(xs, ys, index_kind: str = "gamma", B: int = 1000,

@@ -8,17 +8,15 @@ reversed orientation gives 1 - gamma).
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import Distribution, Normal, NoncentralT1, NormalMixture
 from .errors import DomainError
-from .inference import (find_crossings, gamma_limit_variance, gamma_plugin,
-                        gamma_threshold_test)
-from .rng import SeedSpec, as_seed
+from .inference import (_plugin_replicates, find_crossings,
+                        gamma_limit_variance, gamma_threshold_test)
+from .rng import SeedSpec, as_seed, map_blocks
 
 __all__ = [
     "Scenario",
@@ -119,24 +117,22 @@ def run_table1_cell(scenario: Scenario, gamma0: float, n: int, reps: int,
     Each replicate draws fresh samples of size n from both marginals
     (streams keyed by replicate index, so any thread count produces the
     same result) and applies the bootstrap threshold test.  Each running
-    replicate holds its resample matrices, so the pool has at most one
-    worker per replicate and per core, whatever ``threads`` asks for.
+    replicate holds its resample matrices, so `map_blocks` runs one
+    replicate per block: the pool has at most one worker per replicate
+    and per core, whatever ``threads`` asks for.
     """
     if reps < 1:
         raise DomainError("reps must be >= 1")
     seed = as_seed(seed)
-    rejects = np.zeros(reps, dtype=bool)
 
-    def one(r: int) -> None:
+    def one(r: int, _: int) -> list[bool]:
         xs = scenario.F.sample(n, seed.child(r, 0))
         ys = scenario.G.sample(n, seed.child(r, 1))
         res = gamma_threshold_test(xs, ys, gamma0, alpha, B,
                                    seed=seed.child(r, 2))
-        rejects[r] = res.reject
+        return [res.reject]
 
-    workers = min(threads, reps, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(one, range(reps)))
+    rejects = map_blocks(one, reps, 1, threads)
     k = int(rejects.sum())
     p = k / reps
     return ExperimentResult(
@@ -159,7 +155,7 @@ def run_table(cells, reps: int, B: int, alpha: float = 0.05,
 
 def asymptotic_law_experiment(F: Distribution, G: Distribution, n: int,
                               reps: int, seed: SeedSpec | int | None = None,
-                              m: int | None = None,
+                              m: int | None = None, threads: int = 1,
                               ) -> tuple[np.ndarray, float]:
     """Draws of sqrt(nm/(n+m)) (gamma_hat - gamma) plus the reference
     limit variance from the crossing structure.
@@ -168,7 +164,9 @@ def asymptotic_law_experiment(F: Distribution, G: Distribution, n: int,
     must differ by at least 0.1% relatively, otherwise the normal limit
     degenerates and a NumericError is raised.  A dominance pair (no
     crossing) gives variance 0 with all mass at small nonnegative
-    values.
+    values.  Replicate r draws its samples from seed.child(r, 0) and
+    seed.child(r, 1), in blocks on ``threads`` pool threads; the draws do
+    not depend on ``threads``.
     """
     m = n if m is None else m
     lam = n / (n + m)
@@ -176,9 +174,6 @@ def asymptotic_law_experiment(F: Distribution, G: Distribution, n: int,
     ref_var = gamma_limit_variance(cross)
     seed = as_seed(seed)
     scale = np.sqrt(n * m / (n + m))
-    draws = np.empty(reps)
-    for r in range(reps):
-        xs = F.sample(n, seed.child(r, 0))
-        ys = G.sample(m, seed.child(r, 1))
-        draws[r] = scale * (gamma_plugin(xs, ys) - gamma)
+    draws = scale * (_plugin_replicates(F, G, n, m, reps, seed, threads)
+                     - gamma)
     return draws, ref_var

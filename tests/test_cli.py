@@ -358,3 +358,50 @@ def test_seed_flag_beats_env(tmp_path, normal_pair, monkeypatch):
                  "--out", str(out)]) == 0
     got = json.loads((out / "indices.json").read_text())
     assert got["provenance"]["seed"] == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["bridge-lab", "--mode", "occupation", "--paths", "300",
+     "--bridge-grid", "256", "--subset", "0.1:0.3,0.5:0.9"],
+    ["bridge-lab", "--mode", "nonconsistency", "--n", "500", "--reps", "40"],
+    ["limit-law", "--index", "gamma", "--f", "{f}", "--g", "{g}",
+     "--n", "300", "--reps", "30"],
+], ids=["occupation", "nonconsistency", "limit-law-gamma"])
+def test_replicate_commands_thread_invariance_bytes(tmp_path, argv):
+    f = write_model(tmp_path, "f.json", {"kind": "normal", "mean": 0.0,
+                                         "sd": 1.5})
+    g = write_model(tmp_path, "g.json", MIXTURE)
+    argv = [a.format(f=f, g=g) for a in argv] + ["--seed", "5"]
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        assert main(argv + ["--threads", threads, "--out", str(out)]) == 0
+        reports.append({p.name: p.read_bytes() for p in out.iterdir()
+                        if p.name != "run_info.json"})
+    assert len(reports[0]) >= 2
+    assert reports[0] == reports[1]
+
+
+def test_bridge_grid_error_before_any_worker(tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    out = tmp_path / "out"
+    assert main(["bridge-lab", "--paths", "10", "--bridge-grid", "1000",
+                 "--threads", "2", "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err == {"error": "DomainError", "exit_code": 2, "message":
+                   "bridge grid size must be a power of two >= 2"}
+
+
+def test_threads_defaults_to_the_core_count(monkeypatch):
+    import os
+
+    from stochord.cli import _build_parser
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    for argv in (["simulate-table", "--case", "1", "--n", "5", "--reps", "2"],
+                 ["bridge-lab"], ["limit-law", "--f", "f", "--g", "g"]):
+        assert _build_parser().parse_args(argv).threads == 7

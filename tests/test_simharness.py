@@ -44,7 +44,9 @@ def test_cell_thread_count_invariance():
 @pytest.mark.parametrize("cores, workers", [(2, 2), (64, 3), (None, 1)])
 def test_cell_pool_is_capped_by_replicates_and_cores(monkeypatch, cores,
                                                      workers):
-    from stochord import simharness
+    import concurrent.futures
+
+    from stochord import rng
     asked = []
 
     class InlinePool:
@@ -65,8 +67,9 @@ def test_cell_pool_is_capped_by_replicates_and_cores(monkeypatch, cores,
 
     s = builtin_scenarios()["case2-mix"]
     ref = run_table1_cell(s, 0.05, n=30, reps=3, B=20, seed=SeedSpec(2))
-    monkeypatch.setattr(simharness, "ThreadPoolExecutor", InlinePool)
-    monkeypatch.setattr(simharness.os, "cpu_count", lambda: cores)
+    # rng.map_blocks imports the pool class when it runs
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(rng.os, "cpu_count", lambda: cores)
     res = run_table1_cell(s, 0.05, n=30, reps=3, B=20, seed=SeedSpec(2),
                           threads=10**6)
     assert asked == [workers]
