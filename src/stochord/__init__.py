@@ -11,9 +11,9 @@ confidence bounds, a threshold test for gamma, and Monte Carlo tools
 (Brownian-bridge occupation experiments, limit-law sampling) for
 checking the asymptotic theory.
 
-The public names below load their module (and numpy, and scipy where
-the module needs it) on first access, so importing the package, or a
-light submodule such as `stochord.errors`, stays cheap.
+The public names below load their module (and numpy) on first access,
+so importing the package, or a light submodule such as
+`stochord.errors`, stays cheap.  No module imports scipy.
 """
 from importlib import import_module
 

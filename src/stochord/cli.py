@@ -17,9 +17,8 @@ Exit codes: 0 success, 2 usage/argument problems, 3 data ingestion
 problems, 4 numeric failures or violated assumptions.
 
 Each subcommand handler imports what it uses when it runs, so
-``--version``, ``--help`` and usage errors load neither numpy nor scipy;
-scipy loads only when the CDF, quantile or density of an analytic model
-is evaluated.
+``--version``, ``--help`` and usage errors load no numpy; no command
+loads scipy (the models' special functions are in `stochord.special`).
 """
 from __future__ import annotations
 

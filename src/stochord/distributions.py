@@ -126,7 +126,7 @@ class Normal(Distribution):
             raise ParameterError(f"sd must be positive, got {self.sd}")
 
     def cdf(self, x):
-        from scipy.special import ndtr
+        from .special import ndtr
         x = np.asarray(x, dtype=float)
         return _maybe_scalar(ndtr((x - self.mean) / self.sd), x.ndim == 0)
 
@@ -136,7 +136,7 @@ class Normal(Distribution):
                              x.ndim == 0)
 
     def quantile(self, t):
-        from scipy.special import ndtri
+        from .special import ndtri
         t, scalar = _as_prob_array(t)
         return _maybe_scalar(self.mean + self.sd * ndtri(t), scalar)
 
@@ -172,23 +172,25 @@ _T1_XTOL = 4.0 * float(np.finfo(float).eps)
 
 def _t1_cdf(x, ncp: float) -> np.ndarray:
     """The CDF, relatively accurate in the lower tail."""
-    from scipy.special import erf, ndtr, owens_t
+    from .special import erf, ndtr, owens_t
     x = np.asarray(x, dtype=float)
-    xf = np.clip(x, -_DBL_MAX, _DBL_MAX)
+    xf = np.clip(x, -_DBL_MAX, _DBL_MAX).ravel()
     r = np.hypot(1.0, xf)
     a = ncp / r
     xa = ncp * (xf / r)
     tail = xf < -1.0
-    base = np.where(tail, -erf(a / _SQRT_2) * ndtr(xa), ndtr(-a))
+    base = ndtr(-a)
+    if tail.any():
+        base[tail] = -erf(a[tail] / _SQRT_2) * ndtr(xa[tail])
     out = base + 2.0 * owens_t(np.where(tail, xa, a),
                                np.where(tail, -1.0 / np.minimum(xf, -1.0), xf))
-    out = np.where(np.isinf(x), x > 0, out)
+    out = np.where(np.isinf(x), x > 0, out.reshape(x.shape))
     return np.clip(out, 0.0, 1.0)
 
 
 def _t1_scaled_density(x, ncp: float) -> np.ndarray:
     """The density times 1 + x^2, bounded for every x."""
-    from scipy.special import ndtr
+    from .special import ndtr
     xf = np.clip(np.asarray(x, dtype=float), -_DBL_MAX, _DBL_MAX)
     r = np.hypot(1.0, xf)
     a, u = ncp / r, xf / r
@@ -261,7 +263,7 @@ class NoncentralT1(Distribution):
         if below.any():
             # F(x) <= c/|x| for x < 0: -c/p bounds the root from below and
             # equals it to O(1/x^2), that is exactly beyond the table
-            from scipy.special import ndtr
+            from .special import ndtr
             ncp = self.ncp
             c = 2.0 * _phi(0.0) * (_phi(ncp) - ncp * ndtr(-ncp))
             if p[below].min() * _DBL_MAX <= c:
@@ -356,12 +358,15 @@ class NormalMixture(Distribution):
 
     # Both sum the components one at a time, elementwise, so that a
     # value does not depend on the array it is computed in (a matrix
-    # product rounds differently with the array's length).
+    # product rounds differently with the array's length).  The CDF
+    # evaluates every component's Phi in one call.
     def cdf(self, x):
-        from scipy.special import ndtr
+        from .special import ndtr
         x = np.asarray(x, dtype=float)
-        return _maybe_scalar(sum(w * ndtr((x - m) / s)
-                                 for w, m, s in self.components), x.ndim == 0)
+        col = (-1,) + (1,) * x.ndim
+        phi = ndtr((x - self._m.reshape(col)) / self._s.reshape(col))
+        return _maybe_scalar(sum(w * p for w, p in zip(self._w, phi)),
+                             x.ndim == 0)
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
@@ -372,7 +377,7 @@ class NormalMixture(Distribution):
         """Least double x with cdf(x) >= t.  At the least of the
         components' quantiles at s = t / sum(w) every Phi_k <= s, at the
         largest every Phi_k >= s: so they bracket F = t = s sum(w)."""
-        from scipy.special import ndtri
+        from .special import ndtri
         t, scalar = _as_prob_array(t)
         tj = np.atleast_1d(t)
         s = tj / self._w.sum()

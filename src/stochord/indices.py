@@ -206,9 +206,10 @@ def rho_index(F: Distribution, G: Distribution) -> float:
 _TAIL_LEVELS = np.logspace(-12, math.log10(0.5), 49)[:-1]
 
 
-def _tail_u_grid(n_core: int = 2048) -> np.ndarray:
-    """Probability grid: uniform core plus log-spaced tails to 1e-12."""
-    core = np.arange(1, n_core + 1, dtype=float) / (n_core + 1)
+def _tail_u_grid() -> np.ndarray:
+    """Probability grid: 2048 uniform core levels j/2049 plus log-spaced
+    tails to 1e-12."""
+    core = np.arange(1, 2049, dtype=float) / 2049
     return np.unique(np.concatenate((core, _TAIL_LEVELS, 1.0 - _TAIL_LEVELS)))
 
 

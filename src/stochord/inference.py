@@ -178,59 +178,30 @@ class TestResult:
         }
 
 
-# Cephes ndtri, the algorithm behind scipy.special.ndtri: a rational
-# approximation in y - 1/2 on the centre, and two in z = 1/x on each
-# tail, x = sqrt(-2 log y), split at x = 8.  Each Q has its leading 1.
-_EXP_M2 = 0.13533528323661269189    # exp(-2)
-_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
-       -5.66762857469070293439e1, 1.39312609387279679503e1,
-       -1.23916583867381258016e0)
-_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
-       8.63602421390890590575e1, -2.25462687854119370527e2,
-       2.00260212380060660359e2, -8.20372256168333339912e1,
-       1.59056225126211695515e1, -1.18331621121330003142e0)
-_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
-       5.71628192246421288162e1, 4.40805073893200834700e1,
-       1.46849561928858024014e1, 2.18663306850790267539e0,
-       -1.40256079171354495875e-1, -3.50424626827848203418e-2,
-       -8.57456785154685413611e-4)
-_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
-       4.13172038254672030440e1, 1.50425385692907503408e1,
-       2.50464946208309415979e0, -1.42182922854787788574e-1,
-       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
-       3.93881025292474443415e0, 1.33303460815807542389e0,
-       2.01485389549179081538e-1, 1.23716634817820021358e-2,
-       3.01581553508235416007e-4, 2.65806974686737550832e-6,
-       6.23974539184983293730e-9)
-_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
-       1.37702099489081330271e0, 2.16236993594496635890e-1,
-       1.34204006088543189037e-2, 3.28014464682127739104e-4,
-       2.89247864745380683936e-6, 6.79019408009981274425e-9)
-
-
-def _polevl(x: float, coef: tuple) -> float:
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
 def _ndtri(p: float) -> float:
-    """Standard normal quantile for 0 < p < 1, bit for bit the value of
-    scipy.special.ndtri, without loading scipy."""
+    """Standard normal quantile for 0 < p < 1: `special.ndtri` on one
+    float, with the C library's log, so bit for bit the value of
+    scipy.special.ndtri."""
+    from .special import (_EXP_M2, _P1, _P2, _Q1, _Q2, _ndtri_centre,
+                          _ndtri_tail_term)
     upper = p > 1.0 - _EXP_M2
     y = 1.0 - p if upper else p
     if y > _EXP_M2:
-        y -= 0.5
-        y2 = y * y
-        return (y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) \
-            * 2.50662827463100050242    # sqrt(2 pi)
+        return _ndtri_centre(y)
     x = math.sqrt(-2.0 * math.log(y))
-    z = 1.0 / x
     P, Q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
-    x = x - math.log(x) / x - z * _polevl(z, P) / _polevl(z, Q)
+    x = x - math.log(x) / x - _ndtri_tail_term(x, P, Q)
     return x if upper else -x
+
+
+def __getattr__(name: str):
+    # `_EXP_M2`, the Cephes constant `_ndtri` takes from stochord.special;
+    # that module loads on first use, so commands that never run the
+    # threshold test (galton, bridge-lab) do not compile it
+    if name == "_EXP_M2":
+        from .special import _EXP_M2
+        return _EXP_M2
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def gamma_threshold_test(xs, ys, gamma0: float, alpha: float = 0.05,

@@ -1,4 +1,5 @@
-"""Import hygiene: each command loads only what it uses.
+"""Import hygiene: each command loads only what it uses, and none loads
+scipy, which the tests keep as an oracle only.
 
 Every check runs in a fresh interpreter, since this test process has
 long since imported numpy and scipy.
@@ -96,13 +97,44 @@ def test_sample_commands_load_no_scipy(tmp_path, samples, command):
     ["test-gamma", "--B", "20", "--grid", "101"],
     ["simulate-table", "--case", "2", "--variant", "both", "--n", "20",
      "--reps", "2", "--B", "20", "--threads", "2"],
+    ["simulate-table", "--case", "2", "--variant", "both", "--n", "20",
+     "--reps", "2", "--B", "20", "--verify-nominal"],
 ])
 def test_bootstrap_commands_load_no_scipy(tmp_path, samples, argv):
-    # the normal quantile of the threshold test is computed in plain
-    # Python; only analytic-model evaluation loads scipy
+    # the normal quantile of the threshold test and the model CDFs of
+    # the nominal gamma check come from stochord.special
     if argv[0] == "test-gamma":
         x, y = samples
         argv = argv + ["--x", x, "--y", y, "--gamma0", "0.3"]
+    assert cli(argv + ["--out", str(tmp_path / "out")]) == {
+        "rc": 0, "loaded": ["numpy"]}
+
+
+@pytest.fixture
+def models(tmp_path):
+    paths = {}
+    for name, desc in (("t1", {"kind": "t1", "ncp": 0.5}),
+                       ("normal", {"kind": "normal", "mean": 13.13,
+                                   "sd": 10.0})):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(desc))
+    return {k: str(v) for k, v in paths.items()}
+
+
+@pytest.mark.parametrize("command", ["indices-models", "indices-sample-t1",
+                                     "limit-gamma", "limit-pi"])
+def test_model_commands_load_no_scipy(tmp_path, samples, models, command):
+    f, g = models["t1"], models["normal"]
+    argv = {
+        "indices-models": ["indices", "--f", f, "--g", g, "--grid", "101",
+                           "--quantile-table"],
+        "indices-sample-t1": ["indices", "--f", samples[0], "--g", f,
+                              "--grid", "101"],
+        "limit-gamma": ["limit-law", "--index", "gamma", "--f", f, "--g", g,
+                        "--n", "50", "--reps", "3"],
+        "limit-pi": ["limit-law", "--index", "pi", "--f", f, "--g", g,
+                     "--reps", "20"],
+    }[command]
     assert cli(argv + ["--out", str(tmp_path / "out")]) == {
         "rc": 0, "loaded": ["numpy"]}
 
