@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import Distribution, _evaluator
 from .errors import DomainError
 from .inference import _plugin_replicates
 from .rng import SeedSpec, as_seed, block_rows, draw_rows, map_blocks
@@ -160,30 +160,23 @@ class _PiecewiseShiftQuantile(Distribution):
         self.breaks = tuple(float(b) for b in breaks)
         self.shifts = tuple(float(s) for s in shifts)
 
+    @_evaluator(probability=True)
     def quantile(self, t):
-        arr = np.asarray(t, dtype=float)
-        scalar = arr.ndim == 0
-        tj = np.atleast_1d(arr)
         # the piece of t is the number of breaks below it (what
-        # searchsorted with side="left" gives), for any shape of t
-        piece = sum(tj > b for b in self.breaks)
-        out = tj + np.take(self.shifts, piece)
-        return float(out[0]) if scalar else out
+        # searchsorted with side="left" gives)
+        piece = sum(t > b for b in self.breaks)
+        return t + np.take(self.shifts, piece)
 
+    @_evaluator()
     def cdf(self, x):
         # Quantile pieces are t + c on (b_k, b_{k+1}]; invert piecewise.
-        arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        xs = np.atleast_1d(arr).astype(float)
         edges = np.concatenate(([0.0], self.breaks, [1.0]))
-        out = np.zeros_like(xs)
+        out = np.zeros_like(x)
         for k, c in enumerate(self.shifts):
             lo, hi = edges[k], edges[k + 1]
             # this piece maps (lo, hi] to (lo + c, hi + c]
-            frac = np.clip(xs - c, lo, hi) - lo
-            out += frac
-        out = np.clip(out, 0.0, 1.0)
-        return float(out[0]) if scalar else out
+            out += np.clip(x - c, lo, hi) - lo
+        return np.clip(out, 0.0, 1.0)
 
     def density(self, x):
         raise DomainError("piecewise-shift model has atomic-free but "

@@ -97,7 +97,7 @@ def _quantile_extended(model: Distribution, ts: np.ndarray) -> np.ndarray:
     from .distributions import Empirical
     out = np.empty(ts.shape)
     inner = (ts > 0.0) & (ts < 1.0)
-    out[inner] = np.asarray(model.quantile(ts[inner]))
+    out[inner] = model.quantile(ts[inner])
     out[ts <= 0.0] = -np.inf
     top = model.values[-1] if isinstance(model, Empirical) else np.inf
     out[ts >= 1.0] = top

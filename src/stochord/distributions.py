@@ -2,9 +2,15 @@
 
 Every model exposes the same surface: ``cdf(x)``, ``density(x)``,
 ``quantile(t)`` (the left-continuous generalized inverse
-``inf{x : t <= F(x)}``), and ``sample(n, seed)``.  All evaluators accept
-scalars or numpy arrays and are vectorized; ``sample`` given a sequence
-of seeds returns one sample per seed, stacked in rows.
+``inf{x : t <= F(x)}``), and ``sample(n, seed)``.  ``sample`` given a
+sequence of seeds returns one sample per seed, stacked in rows.
+
+The evaluators ``cdf``, ``density`` and ``quantile`` share one contract,
+kept by the `_evaluator` decorator: a scalar argument gives a Python
+float, an array of any shape gives a float64 array of that shape, and
+each value equals, bit for bit, the one of its element evaluated alone.
+Quantile levels must lie strictly inside (0, 1); any other level (0, 1,
+NaN) raises `DomainError`.
 
 The quantile and the CDF satisfy the Galois duality
 ``t <= F(x)  iff  quantile(t) <= x``: exactly for empirical models and
@@ -19,6 +25,7 @@ out to t = 1e-300 and 1 - t = 2^-53.
 """
 from __future__ import annotations
 
+import functools
 import math
 from pathlib import Path
 
@@ -41,22 +48,31 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _phi(z):
-    return np.exp(-0.5 * z * z) / _SQRT_2PI
+    # z * z overflows beyond |z| = 1e154, to inf, where phi is 0 anyway
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
-def _as_prob_array(t) -> tuple[np.ndarray, bool]:
-    """Validate quantile arguments lie in the open unit interval."""
-    arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr)
-    if flat.size and (not np.all(np.isfinite(flat)) or flat.min() <= 0.0
-                      or flat.max() >= 1.0):
-        raise DomainError("quantile argument must lie strictly inside (0, 1)")
-    return arr, scalar
-
-
-def _maybe_scalar(values: np.ndarray, scalar: bool):
-    return float(values) if scalar else values
+def _evaluator(probability: bool = False):
+    """Lift ``kernel(*head, x)``, written for a flat float64 array x, to
+    the evaluator contract of the module docstring: x is converted and
+    raveled, the kernel's result takes x's shape, and a scalar x gives a
+    float.  With ``probability`` every element of x must lie strictly
+    inside (0, 1) (NaN fails both comparisons)."""
+    def wrap(kernel):
+        @functools.wraps(kernel)
+        def evaluator(*args):
+            *head, x = args
+            x = np.asarray(x, dtype=float)
+            flat = x.ravel()
+            if probability and flat.size and not (flat.min() > 0.0
+                                                  and flat.max() < 1.0):
+                raise DomainError(
+                    "quantile argument must lie strictly inside (0, 1)")
+            out = kernel(*head, flat).reshape(x.shape)
+            return float(out) if out.ndim == 0 else out
+        return evaluator
+    return wrap
 
 
 def _bisect(above, lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -78,7 +94,11 @@ def _bisect(above, lo, hi) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Distribution:
-    """Common surface for the model families."""
+    """Common surface for the model families.
+
+    Each family defines its evaluators in its own class body: the traced
+    benchmark pass (``perfbench/run.py --trace 1``) wraps them through
+    ``cls.__dict__``."""
 
     kind: str = ""
 
@@ -125,20 +145,19 @@ class Normal(Distribution):
         if self.sd <= 0.0:
             raise ParameterError(f"sd must be positive, got {self.sd}")
 
+    @_evaluator()
     def cdf(self, x):
         from .special import ndtr
-        x = np.asarray(x, dtype=float)
-        return _maybe_scalar(ndtr((x - self.mean) / self.sd), x.ndim == 0)
+        return ndtr((x - self.mean) / self.sd)
 
+    @_evaluator()
     def density(self, x):
-        x = np.asarray(x, dtype=float)
-        return _maybe_scalar(_phi((x - self.mean) / self.sd) / self.sd,
-                             x.ndim == 0)
+        return _phi((x - self.mean) / self.sd) / self.sd
 
+    @_evaluator(probability=True)
     def quantile(self, t):
         from .special import ndtri
-        t, scalar = _as_prob_array(t)
-        return _maybe_scalar(self.mean + self.sd * ndtri(t), scalar)
+        return self.mean + self.sd * ndtri(t)
 
     def sample(self, n: int, seed) -> np.ndarray:
         z = draw_rows(seed, (int(n),),
@@ -170,11 +189,10 @@ _T1_NEWTON_CAP = 100
 _T1_XTOL = 4.0 * float(np.finfo(float).eps)
 
 
-def _t1_cdf(x, ncp: float) -> np.ndarray:
-    """The CDF, relatively accurate in the lower tail."""
+def _t1_cdf(x: np.ndarray, ncp: float) -> np.ndarray:
+    """The CDF on a flat array, relatively accurate in the lower tail."""
     from .special import erf, ndtr, owens_t
-    x = np.asarray(x, dtype=float)
-    xf = np.clip(x, -_DBL_MAX, _DBL_MAX).ravel()
+    xf = np.clip(x, -_DBL_MAX, _DBL_MAX)
     r = np.hypot(1.0, xf)
     a = ncp / r
     xa = ncp * (xf / r)
@@ -184,14 +202,13 @@ def _t1_cdf(x, ncp: float) -> np.ndarray:
         base[tail] = -erf(a[tail] / _SQRT_2) * ndtr(xa[tail])
     out = base + 2.0 * owens_t(np.where(tail, xa, a),
                                np.where(tail, -1.0 / np.minimum(xf, -1.0), xf))
-    out = np.where(np.isinf(x), x > 0, out.reshape(x.shape))
-    return np.clip(out, 0.0, 1.0)
+    return np.clip(np.where(np.isinf(x), x > 0, out), 0.0, 1.0)
 
 
-def _t1_scaled_density(x, ncp: float) -> np.ndarray:
+def _t1_scaled_density(x: np.ndarray, ncp: float) -> np.ndarray:
     """The density times 1 + x^2, bounded for every x."""
     from .special import ndtr
-    xf = np.clip(np.asarray(x, dtype=float), -_DBL_MAX, _DBL_MAX)
+    xf = np.clip(x, -_DBL_MAX, _DBL_MAX)
     r = np.hypot(1.0, xf)
     a, u = ncp / r, xf / r
     return (math.exp(-0.5 * ncp * ncp) + _SQRT_2PI * ncp * u
@@ -230,15 +247,14 @@ class NoncentralT1(Distribution):
         self._table: tuple[np.ndarray, np.ndarray] | None = None
         self._reflection: NoncentralT1 | None = None
 
+    @_evaluator()
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return _maybe_scalar(_t1_cdf(x, self.ncp), x.ndim == 0)
+        return _t1_cdf(x, self.ncp)
 
+    @_evaluator()
     def density(self, x):
-        x = np.asarray(x, dtype=float)
         inv_r = 1.0 / np.hypot(1.0, np.clip(x, -_DBL_MAX, _DBL_MAX))
-        return _maybe_scalar(_t1_scaled_density(x, self.ncp) * inv_r * inv_r,
-                             x.ndim == 0)
+        return _t1_scaled_density(x, self.ncp) * inv_r * inv_r
 
     def _quantile_table(self) -> tuple[np.ndarray, np.ndarray]:
         # Lazily built bracketing table of F: dense linear core, log-spaced
@@ -302,14 +318,13 @@ class NoncentralT1(Distribution):
             step[deep] = residual[deep] * r / g * r
         return step
 
+    @_evaluator(probability=True)
     def quantile(self, t):
-        t, scalar = _as_prob_array(t)
-        tj = np.atleast_1d(t)
         # Above the median solve for the survival function: -T has
         # noncentrality -ncp, so F(-x; -ncp) = 1 - t, and the difference
         # is exact in double precision for t >= 1/2.
-        upper = tj > 0.5
-        p = np.where(upper, 1.0 - tj, tj)
+        upper = t > 0.5
+        p = np.where(upper, 1.0 - t, t)
         x = np.empty_like(p)
         if (~upper).any():
             x[~upper] = self._solve_lower(p[~upper])
@@ -317,7 +332,7 @@ class NoncentralT1(Distribution):
             if self._reflection is None:
                 self._reflection = NoncentralT1(-self.ncp)
             x[upper] = -self._reflection._solve_lower(p[upper])
-        return _maybe_scalar(x if not scalar else x[0], scalar)
+        return x
 
     def sample(self, n: int, seed) -> np.ndarray:
         z = draw_rows(seed, (2, int(n)),
@@ -360,34 +375,29 @@ class NormalMixture(Distribution):
     # value does not depend on the array it is computed in (a matrix
     # product rounds differently with the array's length).  The CDF
     # evaluates every component's Phi in one call.
+    @_evaluator()
     def cdf(self, x):
         from .special import ndtr
-        x = np.asarray(x, dtype=float)
-        col = (-1,) + (1,) * x.ndim
-        phi = ndtr((x - self._m.reshape(col)) / self._s.reshape(col))
-        return _maybe_scalar(sum(w * p for w, p in zip(self._w, phi)),
-                             x.ndim == 0)
+        phi = ndtr((x - self._m[:, None]) / self._s[:, None])
+        return sum(w * p for w, p in zip(self._w, phi))
 
+    @_evaluator()
     def density(self, x):
-        x = np.asarray(x, dtype=float)
-        return _maybe_scalar(sum(w / s * _phi((x - m) / s)
-                                 for w, m, s in self.components), x.ndim == 0)
+        return sum(w / s * _phi((x - m) / s) for w, m, s in self.components)
 
+    @_evaluator(probability=True)
     def quantile(self, t):
         """Least double x with cdf(x) >= t.  At the least of the
         components' quantiles at s = t / sum(w) every Phi_k <= s, at the
         largest every Phi_k >= s: so they bracket F = t = s sum(w)."""
         from .special import ndtri
-        t, scalar = _as_prob_array(t)
-        tj = np.atleast_1d(t)
-        s = tj / self._w.sum()
+        s = t / self._w.sum()
         if (s >= 1.0).any():
             raise NumericError("mixture quantile level exceeds the weights' "
                                "sum: the CDF never reaches it")
         q = self._m[:, None] + self._s[:, None] * ndtri(s)
-        _, out = _bisect(lambda x, k: self.cdf(x) >= tj[k],
-                         q.min(axis=0), q.max(axis=0))
-        return _maybe_scalar(out if not scalar else out[0], scalar)
+        return _bisect(lambda x, k: self.cdf(x) >= t[k],
+                       q.min(axis=0), q.max(axis=0))[1]
 
     def sample(self, n: int, seed) -> np.ndarray:
         def draw(rng, out):
@@ -427,19 +437,17 @@ class Empirical(Distribution):
         self.tie_flag = bool(np.any(np.diff(self.values) == 0.0))
         self.csv_path = csv_path
 
+    @_evaluator()
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.searchsorted(self.values, np.atleast_1d(x), side="right") / self.n
-        return _maybe_scalar(out if x.ndim else out[0], x.ndim == 0)
+        return np.searchsorted(self.values, x, side="right") / self.n
 
     def density(self, x):
         raise DomainError("empirical distributions have no density")
 
+    @_evaluator(probability=True)
     def quantile(self, t):
         """Order statistic ``values[ceil(n t)]`` (1-indexed)."""
-        t, scalar = _as_prob_array(t)
-        out = self.values[_order_index(self.n, np.atleast_1d(t))]
-        return _maybe_scalar(out if not scalar else out[0], scalar)
+        return self.values[_order_index(self.n, t)]
 
     def sample(self, n: int, seed) -> np.ndarray:
         def draw(rng, out):

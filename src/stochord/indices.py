@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, Empirical, _bisect, _order_index
+from .distributions import (Distribution, Empirical, _bisect, _evaluator,
+                            _order_index)
 from .errors import DomainError, NumericError, ParameterError
 
 __all__ = [
@@ -159,17 +160,16 @@ def gamma_index(F: Distribution, G: Distribution) -> float:
         return 1.0 - gamma_index(G, F)
     if f_emp:
         n = F.n
-        return float(np.sum(np.clip(np.asarray(G.cdf(F.values))
-                                    - np.arange(n) / n, 0.0, 1.0 / n)))
+        return float(np.sum(np.clip(G.cdf(F.values) - np.arange(n) / n,
+                                    0.0, 1.0 / n)))
     return _crossings(F, G)[2]
 
 
 def _cdf_left(model: Distribution, x: np.ndarray) -> np.ndarray:
     """Left limit of the CDF; differs from cdf only at empirical atoms."""
     if isinstance(model, Empirical):
-        return np.searchsorted(model.values, np.atleast_1d(x),
-                               side="left") / model.n
-    return np.atleast_1d(model.cdf(x))
+        return np.searchsorted(model.values, x, side="left") / model.n
+    return model.cdf(x)
 
 
 def rho_index(F: Distribution, G: Distribution) -> float:
@@ -197,8 +197,8 @@ def rho_index(F: Distribution, G: Distribution) -> float:
     knots = _support_knots(F, G)
     xs, w = _gauss_legendre(knots, 4)
     x = xs.ravel()
-    body = np.sum(np.asarray(G.cdf(x)) * np.asarray(F.density(x)) * w.ravel())
-    (fa, fb), (ga, gb) = (np.asarray(D.cdf(knots[[0, -1]])) for D in (F, G))
+    body = np.sum(G.cdf(x) * F.density(x) * w.ravel())
+    (fa, fb), (ga, gb) = (D.cdf(knots[[0, -1]]) for D in (F, G))
     return float(body + fa * ga + (1.0 - fb) * gb)
 
 
@@ -253,10 +253,9 @@ def _crossings(F: Distribution, G: Distribution
     length of the t-pieces between crossings on which G - F is
     positive, so it carries the crossings' rounding error, not a grid's.
     """
-    x, sign = _sign_roots(
-        lambda x: np.asarray(G.cdf(x)) - np.asarray(F.cdf(x)),
-        np.asarray(F.quantile(_CROSSING_LEVELS)))
-    t = np.asarray(F.cdf(x))
+    x, sign = _sign_roots(lambda x: G.cdf(x) - F.cdf(x),
+                          F.quantile(_CROSSING_LEVELS))
+    t = F.cdf(x)
     edges = np.concatenate(([0.0], t, [1.0]))
     return x, t, float(np.diff(edges)[sign > 0].sum())
 
@@ -276,13 +275,12 @@ def _gap_peaks(F: Distribution, G: Distribution
         return _sample_peaks(F.values, G.values)
     if f_emp or g_emp:
         z = (F if f_emp else G).values
-        return np.asarray(G.cdf(z)), _cdf_left(F, z)
+        return G.cdf(z), _cdf_left(F, z)
     u = _tail_u_grid()
     xs = np.unique(np.concatenate((F.quantile(u), G.quantile(u))))
-    roots, sign = _sign_roots(
-        lambda x: np.asarray(G.density(x)) - np.asarray(F.density(x)), xs)
+    roots, sign = _sign_roots(lambda x: G.density(x) - F.density(x), xs)
     x = roots[sign[:-1] > 0]
-    return np.asarray(G.cdf(x)), np.asarray(F.cdf(x))
+    return G.cdf(x), F.cdf(x)
 
 
 def pi_index(F: Distribution, G: Distribution) -> float:
@@ -311,10 +309,9 @@ def _support_knots(F: Distribution, G: Distribution) -> np.ndarray:
         if isinstance(model, Empirical):
             knots.append(model.values)
             continue
-        knots.append(np.asarray(model.quantile(u)))
+        knots.append(model.quantile(u))
         if isinstance(other, Empirical):
-            knots.append(np.asarray(model.quantile(
-                np.arange(1, other.n) / other.n)))
+            knots.append(model.quantile(np.arange(1, other.n) / other.n))
     return np.unique(np.concatenate(knots))
 
 
@@ -354,7 +351,7 @@ def epsilon_index(F: Distribution, G: Distribution) -> float | None:
         tot = float(np.sum(np.abs(d) * dz))
     else:
         def gap(x):
-            return np.asarray(G.cdf(x)) - np.asarray(F.cdf(x))
+            return G.cdf(x) - F.cdf(x)
 
         knots, pieces = _support_knots(F, G), 1
         if not (isinstance(F, Empirical) or isinstance(G, Empirical)):
@@ -372,6 +369,7 @@ def epsilon_index(F: Distribution, G: Distribution) -> float | None:
     return pos / tot
 
 
+@_evaluator(probability=True)
 def rearranged_quantile(G: Distribution, pi0: float, t):
     """Quantile of G rearranged by cyclically shifting mass pi0 from the
     top to the bottom: the value is G^{-1}(pi0 + t) for t < 1 - pi0 and
@@ -383,30 +381,25 @@ def rearranged_quantile(G: Distribution, pi0: float, t):
 
     At the single boundary point t = 1 - pi0 the shifted argument is 0;
     continuous models return -inf there (the essential infimum) and
-    empirical models return their smallest order statistic.  The point
-    has measure zero so grid counting is unaffected.
+    empirical models return their smallest order statistic.  Like a
+    model's quantile, it takes t of any shape inside (0, 1).
     """
     pi0 = float(pi0)
     if not (0.0 <= pi0 < 1.0):
         raise DomainError("pi0 must lie in [0, 1)")
-    arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    tj = np.atleast_1d(arr)
-    if tj.size and (tj.min() <= 0.0 or tj.max() >= 1.0):
-        raise DomainError("t must lie strictly inside (0, 1)")
-    shifted = np.where(tj < 1.0 - pi0, pi0 + tj, tj - (1.0 - pi0))
-    out = np.empty_like(tj)
+    shifted = np.where(t < 1.0 - pi0, pi0 + t, t - (1.0 - pi0))
+    out = np.empty_like(t)
     at_zero = shifted <= 0.0
     # Guard exact 1.0 too (pi0 + t can round up when t -> 1 - pi0).
     at_one = shifted >= 1.0
     ok = ~(at_zero | at_one)
     if ok.any():
-        out[ok] = np.asarray(G.quantile(shifted[ok]))
+        out[ok] = G.quantile(shifted[ok])
     if at_zero.any():
         out[at_zero] = G.values[0] if isinstance(G, Empirical) else -np.inf
     if at_one.any():
         out[at_one] = G.values[-1] if isinstance(G, Empirical) else np.inf
-    return float(out[0]) if scalar else out
+    return out
 
 
 def optimal_copula_eval(pi0: float, x, y):

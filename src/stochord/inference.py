@@ -8,7 +8,6 @@ and the supremum limit of the one-sided KS statistic).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -178,32 +177,6 @@ class TestResult:
         }
 
 
-def _ndtri(p: float) -> float:
-    """Standard normal quantile for 0 < p < 1: `special.ndtri` on one
-    float, with the C library's log, so bit for bit the value of
-    scipy.special.ndtri."""
-    from .special import (_EXP_M2, _P1, _P2, _Q1, _Q2, _ndtri_centre,
-                          _ndtri_tail_term)
-    upper = p > 1.0 - _EXP_M2
-    y = 1.0 - p if upper else p
-    if y > _EXP_M2:
-        return _ndtri_centre(y)
-    x = math.sqrt(-2.0 * math.log(y))
-    P, Q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
-    x = x - math.log(x) / x - _ndtri_tail_term(x, P, Q)
-    return x if upper else -x
-
-
-def __getattr__(name: str):
-    # `_EXP_M2`, the Cephes constant `_ndtri` takes from stochord.special;
-    # that module loads on first use, so commands that never run the
-    # threshold test (galton, bridge-lab) do not compile it
-    if name == "_EXP_M2":
-        from .special import _EXP_M2
-        return _EXP_M2
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def gamma_threshold_test(xs, ys, gamma0: float, alpha: float = 0.05,
                          B: int = 1000, grid: GridSpec | None = None,
                          seed: SeedSpec | int | None = None) -> TestResult:
@@ -215,7 +188,10 @@ def gamma_threshold_test(xs, ys, gamma0: float, alpha: float = 0.05,
     seed = as_seed(seed)
     est = gamma_plugin(xs, ys, grid)
     sd = bootstrap_sd(xs, ys, "gamma", B, grid, seed)
-    z = _ndtri(alpha)
+    # loaded after the bootstrap has freed its resamples, so that the
+    # module's memory does not add to the bootstrap's peak
+    from .special import ndtri
+    z = float(ndtri(alpha))
     u, v = est - sd * z, est + sd * z
     degenerate = sd == 0.0
     reject = bool(u < gamma0)
@@ -289,8 +265,8 @@ def find_crossings(F: Distribution, G: Distribution, lam: float,
     x, t, gamma = _crossings(F, G)
     # a model without a density (empirical) still passes when nothing
     # crosses
-    f = np.asarray(F.density(x)) if x.size else x
-    g = np.asarray(G.density(x)) if x.size else x
+    f = F.density(x) if x.size else x
+    g = G.density(x) if x.size else x
     if min_rel_gap > 0.0:
         close = np.abs(f - g) < min_rel_gap * np.maximum(f, g)
         if close.any():

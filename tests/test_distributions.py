@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,8 @@ from scipy import stats
 
 from stochord import (DataError, DomainError, Empirical, NoncentralT1, Normal,
                       NormalMixture, NumericError, ParameterError, SeedSpec,
-                      from_descriptor)
+                      from_descriptor, pi_index)
+from stochord.bridge import make_gamma_set_pair
 
 
 def test_normal_matches_scipy():
@@ -270,3 +273,71 @@ def test_values_do_not_depend_on_the_batch(model, xs, ts):
     for method, args in methods:
         alone = [method(float(a)) for a in args]
         assert np.array_equal(_bits(method(args)), _bits(alone)), method
+
+
+_SHIFT_F, _SHIFT_G, _, _ = make_gamma_set_pair()
+# each model, with the evaluators it defines
+SHAPE_MODELS = {
+    "normal": (Normal(0.3, 1.7), ("cdf", "density", "quantile")),
+    "t1": (NoncentralT1(0.5), ("cdf", "density", "quantile")),
+    "mixture": (NormalMixture([(0.4, -1.0, 0.5), (0.6, 1.5, 2.0)]),
+                ("cdf", "density", "quantile")),
+    "empirical": (Empirical([0.3, -1.2, 2.5, 0.3, 4.0]), ("cdf", "quantile")),
+    "shift-uniform": (_SHIFT_F, ("cdf", "quantile")),
+    "shift-gamma-set": (_SHIFT_G, ("cdf", "quantile")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_MODELS))
+def test_evaluators_keep_the_argument_shape(name):
+    # a scalar gives a float; an array keeps its shape, each value equal
+    # bit for bit to its element evaluated alone
+    model, methods = SHAPE_MODELS[name]
+    args = {"x": np.linspace(-3.0, 3.0, 6), "t": np.linspace(0.05, 0.95, 6)}
+    for method in methods:
+        evaluate = getattr(model, method)
+        pool = args["t" if method == "quantile" else "x"]
+        for scalar in (float(pool[1]), pool[1], np.array(pool[1])):
+            assert type(evaluate(scalar)) is float, method
+        for shape in [(0,), (5,), (2, 2), (3, 2), (1, 3)]:
+            arg = pool[:int(np.prod(shape))].reshape(shape)
+            out = evaluate(arg)
+            assert isinstance(out, np.ndarray) and out.shape == shape, method
+            alone = [evaluate(float(a)) for a in arg.ravel()]
+            assert np.array_equal(_bits(out.ravel()), _bits(alone)), method
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_MODELS))
+def test_quantile_rejects_bad_levels_anywhere_in_a_matrix(name):
+    model = SHAPE_MODELS[name][0]
+    for bad in (0.0, 1.0, np.nan):
+        for k in range(4):
+            ts = np.array([0.2, 0.4, 0.6, 0.8])
+            ts[k] = bad
+            with pytest.raises(DomainError):
+                model.quantile(ts.reshape(2, 2))
+
+
+def test_normal_densities_raise_no_overflow_warning():
+    # z = (x - mean)/sd squared overflows beyond |z| = 1e154; every z
+    # here stays below 1e308
+    zs = np.array([1e154, -1.5e154, 1e200, 1e308, -1e308])
+    mixture = NormalMixture([(0.4, -1.0, 1.0), (0.6, 1.5, 2.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in (Normal(0.0, 1.0), mixture):
+            assert np.all(d.density(zs) == 0.0)
+            assert d.density(1e300) == 0.0
+        tiny = Normal(0.0, 1e-300)
+        assert tiny.density(1.0) == 0.0
+        # the roots of g - f that pi brackets lie at |z| near 1e300
+        assert pi_index(tiny, Normal(0.0, 1.0)) == pytest.approx(0.5)
+
+
+def test_traced_evaluators_live_in_their_class_bodies():
+    # the traced benchmark pass (`perfbench/run.py --trace 1`) wraps
+    # these methods through `cls.__dict__[attr]`
+    for attr in ("cdf", "density", "quantile"):
+        assert callable(NoncentralT1.__dict__.get(attr)), attr
+    for cls in (Normal, NormalMixture, Empirical):
+        assert callable(cls.__dict__.get("quantile")), cls.__name__

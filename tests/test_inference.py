@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import ndtri
 
 from stochord import (CrossingSpec, DomainError, Empirical, GridSpec, Normal,
                       NumericError, SeedSpec, bootstrap_sd, builtin_scenarios,
                       find_crossings, galton_test, gamma_limit_variance,
                       gamma_plugin, gamma_threshold_test, pi_index,
                       pi_limit_sample, rho_index)
-
-from stochord import inference
 
 from reference_indices import pi_reference, sup_gap_reference
 
@@ -180,28 +177,6 @@ def test_threshold_test_validates_inputs():
         gamma_threshold_test(xs, xs, gamma0=1.5)
     with pytest.raises(DomainError):
         gamma_threshold_test(xs, xs, gamma0=0.5, alpha=0.0)
-
-
-def test_ndtri_matches_scipy_bit_for_bit():
-    # uniform and log-uniform points (down past 1e-300 into the
-    # subnormals), the near-1 tail, and the branch edges with their
-    # neighbours: exp(-2) and 1 - exp(-2) between the centre and the
-    # tails, exp(-32) and 1 - exp(-32) at x = 8 between the two tail forms
-    rng = np.random.default_rng(15)
-    edges = [inference._EXP_M2, 1.0 - inference._EXP_M2, np.exp(-32.0),
-             1.0 - np.exp(-32.0)]
-    ps = np.concatenate((
-        rng.uniform(size=50000),
-        10.0 ** rng.uniform(-323.5, 0.0, size=50000),
-        1.0 - 10.0 ** -np.arange(1.0, 16.0),
-        [np.nextafter(e, d) for e in edges for d in (0.0, 1.0)], edges,
-        [0.5, 5e-324, 2.2250738585072014e-308]))
-    ps = ps[(ps > 0.0) & (ps < 1.0)]
-    assert ps.size > 100000
-    got = np.array([inference._ndtri(float(p)) for p in ps])
-    want = ndtri(ps)
-    bad = got.view(np.int64) != want.view(np.int64)
-    assert not bad.any(), ps[bad][:5]
 
 
 def test_crossing_spec_validation():
