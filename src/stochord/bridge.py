@@ -8,6 +8,7 @@ agree on a set of positive measure.
 """
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -51,23 +52,37 @@ def _grid_size(m: int) -> int:
     return m
 
 
-def bridge_path(m: int = 2048, seed=None) -> BridgePath:
+def bridge_path(m: int = 2048, seed=None,
+                out: np.ndarray | None = None) -> BridgePath:
     """Simulate a standard Brownian bridge on a grid of size m.
 
     Construction: cumulative Gaussian walk W(t_j) with increments of
     variance 1/m, then B(t_j) = W(t_j) - t_j W(1), which pins both
     endpoints exactly and has the bridge covariance min(s,t) - st at
     the grid points.  ``seed`` is one seed (a SeedSpec, an int or None)
-    for one path, or a sequence of seeds for one path per seed, stacked
-    in rows; each path equals the one its seed gives alone.
+    for one path, or a (k, 2) block of stream keys for one path per
+    key, stacked in rows; each path equals the one its key's stream
+    gives alone.
+
+    ``out``, a float array (2, *rows, m + 1) for the rows of ``seed``,
+    is the work space of the in-place form: the steps are drawn into
+    out[1] and the paths formed in out[0], which the result's values
+    are.  A loop that passes the same ``out`` for every block maps no
+    fresh memory.
     """
     m = _grid_size(m)
-    steps = draw_rows(seed, (m,), lambda rng, out: rng.standard_normal(out=out))
+    if out is None:
+        rows = np.shape(seed)[:1] if isinstance(seed, np.ndarray) else ()
+        out = np.empty((2, *rows, m + 1))
+    w, steps = out[0], out[1][..., :m]
+    draw_rows(seed, (m,), lambda rng, row: rng.standard_normal(out=row),
+              out=steps)
     steps /= np.sqrt(m)
-    w = np.zeros(steps.shape[:-1] + (m + 1,))
+    w[..., 0] = 0.0
     np.cumsum(steps, axis=-1, out=w[..., 1:])
     t = np.arange(m + 1) / m
-    return BridgePath(m=m, values=w - t * w[..., -1:])
+    np.subtract(w, np.multiply(t, w[..., -1:], out=out[1]), out=w)
+    return BridgePath(m=m, values=w)
 
 
 @dataclass(frozen=True)
@@ -113,18 +128,20 @@ class SubsetSpec:
                 "length": self.length}
 
 
-def occupation_positive(path: BridgePath, subset: SubsetSpec | None = None):
+def occupation_positive(path: BridgePath, subset: SubsetSpec | None = None,
+                        out: np.ndarray | None = None):
     """Grid measure of {t_j in subset : B(t_j) > 0}, weighted by 1/m: a
     float for one path, one value per row for stacked paths.
 
     Strict positivity: grid points where the path is exactly zero (the
-    endpoints) never count.
+    endpoints) never count.  ``out``, a bool array of the values' shape,
+    receives the mask.
     """
-    mask = path.values > 0.0
+    mask = np.greater(path.values, 0.0, out=out)
     if subset is not None:
         mask &= subset.contains(np.arange(path.m + 1) / path.m)
-    out = np.count_nonzero(mask, axis=-1) / path.m
-    return float(out) if path.values.ndim == 1 else out
+    occ = np.count_nonzero(mask, axis=-1) / path.m
+    return float(occ) if path.values.ndim == 1 else occ
 
 
 def occupation_experiment(paths: int, m: int = 2048,
@@ -133,14 +150,22 @@ def occupation_experiment(paths: int, m: int = 2048,
                           threads: int = 1) -> np.ndarray:
     """`occupation_positive` of ``paths`` bridges on a grid of size m,
     path i drawn from seed.child(i).  The paths run through `map_blocks`
-    in blocks of rows, one `bridge_path` call per block."""
+    in blocks of rows, one `bridge_path` call per block.  Each pool
+    worker forms its blocks in place in its own work space, which it
+    reuses for every block and which is freed when the call returns."""
     m = _grid_size(m)
-    seed = as_seed(seed)
+    keys = as_seed(seed).child_keys(paths)
+    rows = block_rows(m + 1)
+    local = threading.local()
 
     def fill(lo: int, hi: int) -> np.ndarray:
-        block = bridge_path(m, [seed.child(i) for i in range(lo, hi)])
-        return occupation_positive(block, subset)
-    return map_blocks(fill, paths, block_rows(m + 1), threads)
+        if not hasattr(local, "work"):
+            local.work = np.empty((2, rows, m + 1))
+            local.mask = np.empty((rows, m + 1), dtype=bool)
+        k = hi - lo
+        block = bridge_path(m, keys[lo:hi], out=local.work[:, :k])
+        return occupation_positive(block, subset, out=local.mask[:k])
+    return map_blocks(fill, paths, rows, threads)
 
 
 class _PiecewiseShiftQuantile(Distribution):
@@ -185,7 +210,7 @@ class _PiecewiseShiftQuantile(Distribution):
     def sample(self, n: int, seed) -> np.ndarray:
         u = draw_rows(seed, (int(n),), lambda rng, out: rng.random(out=out))
         return self.quantile(np.clip(u, np.nextafter(0.0, 1.0),
-                                     np.nextafter(1.0, 0.0)))
+                                     np.nextafter(1.0, 0.0), out=u))
 
     def to_json(self) -> dict:
         return {"kind": "piecewise-shift", "breaks": list(self.breaks),

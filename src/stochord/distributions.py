@@ -3,7 +3,8 @@
 Every model exposes the same surface: ``cdf(x)``, ``density(x)``,
 ``quantile(t)`` (the left-continuous generalized inverse
 ``inf{x : t <= F(x)}``), and ``sample(n, seed)``.  ``sample`` given a
-sequence of seeds returns one sample per seed, stacked in rows.
+(k, 2) block of stream keys (`rng.stream_keys`) returns one sample per
+key, stacked in rows.
 
 The evaluators ``cdf``, ``density`` and ``quantile`` share one contract,
 kept by the `_evaluator` decorator: a scalar argument gives a Python
@@ -51,6 +52,13 @@ def _phi(z):
     # z * z overflows beyond |z| = 1e154, to inf, where phi is 0 anyway
     with np.errstate(over="ignore"):
         return np.exp(-0.5 * z * z) / _SQRT_2PI
+
+
+def _standardize(x, mean, sd):
+    # (x - mean) / sd overflows beyond the double range, to +-inf, where
+    # Phi is 0 or 1 and phi is 0 anyway
+    with np.errstate(over="ignore"):
+        return (x - mean) / sd
 
 
 def _evaluator(probability: bool = False):
@@ -113,8 +121,8 @@ class Distribution:
 
     def sample(self, n: int, seed) -> np.ndarray:
         """n draws from the stream of ``seed`` (a SeedSpec or an int), or
-        an array (k, n) for a sequence of k seeds, row i equal to the
-        sample of seed i alone."""
+        an array (k, n) for a (k, 2) block of stream keys, row i equal to
+        the sample of key i's stream alone."""
         raise NotImplementedError
 
     def to_json(self) -> dict:
@@ -148,11 +156,11 @@ class Normal(Distribution):
     @_evaluator()
     def cdf(self, x):
         from .special import ndtr
-        return ndtr((x - self.mean) / self.sd)
+        return ndtr(_standardize(x, self.mean, self.sd))
 
     @_evaluator()
     def density(self, x):
-        return _phi((x - self.mean) / self.sd) / self.sd
+        return _phi(_standardize(x, self.mean, self.sd)) / self.sd
 
     @_evaluator(probability=True)
     def quantile(self, t):
@@ -378,12 +386,13 @@ class NormalMixture(Distribution):
     @_evaluator()
     def cdf(self, x):
         from .special import ndtr
-        phi = ndtr((x - self._m[:, None]) / self._s[:, None])
+        phi = ndtr(_standardize(x, self._m[:, None], self._s[:, None]))
         return sum(w * p for w, p in zip(self._w, phi))
 
     @_evaluator()
     def density(self, x):
-        return sum(w / s * _phi((x - m) / s) for w, m, s in self.components)
+        return sum(w / s * _phi(_standardize(x, m, s))
+                   for w, m, s in self.components)
 
     @_evaluator(probability=True)
     def quantile(self, t):

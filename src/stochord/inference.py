@@ -99,10 +99,13 @@ def _plugin_replicates(F: Distribution, G: Distribution, n: int, m: int,
     """gamma_plugin of ``reps`` seeded sample pairs: replicate r draws n
     values of F from seed.child(r, 0) and m of G from seed.child(r, 1).
     The replicates run through `map_blocks`, with one sample call per
-    model and one gamma_plugin call per block."""
+    model and one gamma_plugin call per block; the stream keys of all
+    replicates are computed once, before the blocks."""
+    keys_x, keys_y = seed.child_keys(reps, 0), seed.child_keys(reps, 1)
+
     def fill(lo: int, hi: int) -> np.ndarray:
-        xs = F.sample(n, [seed.child(r, 0) for r in range(lo, hi)])
-        ys = G.sample(m, [seed.child(r, 1) for r in range(lo, hi)])
+        xs = F.sample(n, keys_x[lo:hi])
+        ys = G.sample(m, keys_y[lo:hi])
         return gamma_plugin(xs, ys)
     return map_blocks(fill, reps, block_rows(n + m), threads)
 

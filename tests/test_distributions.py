@@ -334,6 +334,20 @@ def test_normal_densities_raise_no_overflow_warning():
         assert pi_index(tiny, Normal(0.0, 1.0)) == pytest.approx(0.5)
 
 
+def test_normal_quotient_overflow_raises_no_warning():
+    # (x - mean)/sd itself overflows here, to +-inf: Phi is 0 or 1 there
+    # and phi is 0
+    narrow = NormalMixture([(0.5, 0.0, 1e-3), (0.5, 1.0, 0.25)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in (Normal(0.0, 0.5), Normal(0.0, 1e-300), narrow):
+            for x, below in ((1e308, 1.0), (-1e308, 0.0)):
+                assert d.cdf(x) == below
+                assert d.density(x) == 0.0
+            assert d.cdf(np.array([-1e308, 0.5, 1e308]))[[0, 2]].tolist() \
+                == [0.0, 1.0]
+
+
 def test_traced_evaluators_live_in_their_class_bodies():
     # the traced benchmark pass (`perfbench/run.py --trace 1`) wraps
     # these methods through `cls.__dict__[attr]`

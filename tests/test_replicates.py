@@ -5,10 +5,13 @@ Every driven loop must give the values of its reference loop in
 one replicate per block, a replicate count that is not a multiple of the
 block rows, and one or two pool threads.
 """
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference_replicates import (occupation_reference, plugin_reference,
                                   sample_reference, table1_cell_reference)
@@ -46,6 +49,26 @@ def test_map_blocks_keeps_replicate_order(rows, threads):
                             for lo in range(0, 10, rows)]
 
 
+def test_map_blocks_runs_each_block_once_under_contention(monkeypatch):
+    # more workers than cores, switching threads every microsecond: a
+    # block that two workers took, or none, shows in `seen` or the values
+    monkeypatch.setattr(rng.os, "cpu_count", lambda: 16)
+    seen = []
+
+    def fill(lo, hi):
+        seen.append(lo)
+        return np.arange(lo, hi)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = rng.map_blocks(fill, 2000, 3, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert out.tolist() == list(range(2000))
+    assert sorted(seen) == list(range(0, 2000, 3))
+
+
 @pytest.mark.parametrize("count, rows, threads",
                          [(0, 1, 1), (5, 0, 1), (5, 1, 0)])
 def test_map_blocks_rejects_empty_sizes(count, rows, threads):
@@ -63,6 +86,54 @@ def test_map_blocks_raises_a_fill_error():
         rng.map_blocks(fill, 10, 2, 2)
 
 
+# masters up to 2**64, plus ones of more 32-bit words than the pool's four
+MASTERS = st.one_of(st.integers(0, 2**64), st.integers(2**128, 2**200))
+# path entries of one 32-bit word, and of several
+ENTRIES = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**100))
+
+
+@settings(max_examples=300, deadline=None)
+@given(MASTERS, st.integers(0, 3).flatmap(
+    lambda p: st.lists(st.tuples(*[ENTRIES] * p), min_size=1, max_size=5)))
+def test_stream_keys_match_seed_sequence(master, paths):
+    keys = rng.stream_keys(master, paths)
+    assert keys.dtype == np.uint64 and keys.shape == (len(paths), 2)
+    for key, path in zip(keys, paths):
+        seq = np.random.SeedSequence(master, spawn_key=path)
+        assert key.tolist() == seq.generate_state(2, np.uint64).tolist()
+
+
+@pytest.mark.parametrize("path", [(), (2**40, 3), (2**63 + 5, 3)])
+def test_child_keys_match_children(path):
+    seed = SeedSpec(11, path)
+    keys = seed.child_keys(7, 1, 2**33)
+    for r, key in enumerate(keys):
+        child = seed.child(r, 1, 2**33)
+        seq = np.random.SeedSequence(11, spawn_key=child.path)
+        assert key.tolist() == seq.generate_state(2, np.uint64).tolist()
+
+
+DRAWS = {
+    "standard_normal": (float, lambda g, out: g.standard_normal(out=out)),
+    "random": (float, lambda g, out: g.random(out=out)),
+    # full-range uint32 draws take one 32-bit half each: an odd row leaves
+    # a spare half buffered, which the next row must not see
+    "integers": (np.int64, lambda g, out: out.__setitem__(
+        slice(None), g.integers(0, 2**32, size=out.size, dtype=np.uint32))),
+}
+
+
+@pytest.mark.parametrize("name", list(DRAWS))
+def test_rekeyed_rows_match_one_generator_each(name):
+    dtype, draw = DRAWS[name]
+    seed = SeedSpec(9, (4,))
+    got = rng.draw_rows(seed.child_keys(4), (5,), draw, dtype)
+    for r, row in enumerate(got):
+        out = np.empty(5, dtype=dtype)
+        draw(seed.child(r).generator(), out)
+        assert row.tolist() == out.tolist()
+
+
 @pytest.mark.parametrize("model", [
     Normal(1.0, 2.0), NoncentralT1(0.5), MIXTURE, Empirical([3.0, 1.0, 2.0]),
     F_SHIFT, G_SHIFT],
@@ -70,7 +141,7 @@ def test_map_blocks_raises_a_fill_error():
 def test_sample_rows_match_one_seed_each(model):
     seed = SeedSpec(5, (2,))
     seeds = [seed.child(r) for r in range(4)]
-    block = model.sample(300, seeds)
+    block = model.sample(300, seed.child_keys(4))
     assert block.shape == (4, 300)
     for row, s in zip(block, seeds):
         assert np.array_equal(row, sample_reference(model, 300, s))
@@ -80,7 +151,7 @@ def test_sample_rows_match_one_seed_each(model):
 def test_bridge_path_rows_match_one_seed_each():
     seed = SeedSpec(6)
     seeds = [seed.child(i) for i in range(5)]
-    block = bridge_path(128, seeds)
+    block = bridge_path(128, seed.child_keys(5))
     assert block.values.shape == (5, 129)
     subset = SubsetSpec(((0.1, 0.4), (0.5, 0.9)))
     occ = occupation_positive(block, subset)
