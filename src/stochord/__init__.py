@@ -31,11 +31,11 @@ _EXPORTS = {
                   "bootstrap_sd", "TestResult", "gamma_threshold_test",
                   "CrossingSpec", "gamma_limit_variance", "find_crossings",
                   "pi_limit_sample"),
-    "bridge": ("BridgePath", "bridge_path", "SubsetSpec",
-               "occupation_positive", "occupation_experiment",
-               "make_gamma_set_pair", "nonconsistency_demo"),
-    "simharness": ("Scenario", "builtin_scenarios", "verify_nominal_gamma",
-                   "ExperimentResult", "run_table1_cell", "run_table",
+    "bridge": ("bridge_path", "SubsetSpec", "occupation_positive",
+               "occupation_experiment", "make_gamma_set_pair",
+               "nonconsistency_demo"),
+    "simharness": ("Scenario", "builtin_scenarios", "ExperimentResult",
+                   "run_table1_cell", "run_table",
                    "asymptotic_law_experiment"),
     "rng": ("SeedSpec", "as_seed"),
     "errors": ("StochordError", "ParameterError", "DomainError",

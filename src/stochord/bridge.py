@@ -20,7 +20,6 @@ from .inference import _plugin_replicates
 from .rng import SeedSpec, as_seed, block_rows, draw_rows, map_blocks
 
 __all__ = [
-    "BridgePath",
     "SubsetSpec",
     "bridge_path",
     "occupation_positive",
@@ -28,21 +27,6 @@ __all__ = [
     "nonconsistency_demo",
     "make_gamma_set_pair",
 ]
-
-
-@dataclass(frozen=True)
-class BridgePath:
-    """Bridge values B(t_j) at t_j = j/m, j = 0..m, pinned to 0 at both
-    ends with marginal variance t(1-t): one path of shape (m + 1,), or
-    one path per row of shape (rows, m + 1)."""
-
-    m: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.ndim not in (1, 2) \
-                or self.values.shape[-1] != self.m + 1:
-            raise DomainError("values must have length m + 1 per path")
 
 
 def _grid_size(m: int) -> int:
@@ -53,22 +37,22 @@ def _grid_size(m: int) -> int:
 
 
 def bridge_path(m: int = 2048, seed=None,
-                out: np.ndarray | None = None) -> BridgePath:
-    """Simulate a standard Brownian bridge on a grid of size m.
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Values B(t_j) at t_j = j/m, j = 0..m, of a standard Brownian
+    bridge on a grid of size m.
 
     Construction: cumulative Gaussian walk W(t_j) with increments of
     variance 1/m, then B(t_j) = W(t_j) - t_j W(1), which pins both
     endpoints exactly and has the bridge covariance min(s,t) - st at
     the grid points.  ``seed`` is one seed (a SeedSpec, an int or None)
-    for one path, or a (k, 2) block of stream keys for one path per
-    key, stacked in rows; each path equals the one its key's stream
-    gives alone.
+    for one path (m + 1,), or a (k, 2) block of stream keys for one path
+    per key, stacked in rows (k, m + 1); each path equals the one its
+    key's stream gives alone.
 
     ``out``, a float array (2, *rows, m + 1) for the rows of ``seed``,
     is the work space of the in-place form: the steps are drawn into
-    out[1] and the paths formed in out[0], which the result's values
-    are.  A loop that passes the same ``out`` for every block maps no
-    fresh memory.
+    out[1] and the paths formed in out[0], the view returned.  A loop
+    that passes the same ``out`` for every block maps no fresh memory.
     """
     m = _grid_size(m)
     if out is None:
@@ -82,7 +66,7 @@ def bridge_path(m: int = 2048, seed=None,
     np.cumsum(steps, axis=-1, out=w[..., 1:])
     t = np.arange(m + 1) / m
     np.subtract(w, np.multiply(t, w[..., -1:], out=out[1]), out=w)
-    return BridgePath(m=m, values=w)
+    return w
 
 
 @dataclass(frozen=True)
@@ -128,20 +112,24 @@ class SubsetSpec:
                 "length": self.length}
 
 
-def occupation_positive(path: BridgePath, subset: SubsetSpec | None = None,
+def occupation_positive(path: np.ndarray, subset: SubsetSpec | None = None,
                         out: np.ndarray | None = None):
-    """Grid measure of {t_j in subset : B(t_j) > 0}, weighted by 1/m: a
-    float for one path, one value per row for stacked paths.
+    """Grid measure of {t_j in subset : B(t_j) > 0}, weighted by 1/m, of
+    `bridge_path`'s paths: a float for one path, one value per row for
+    stacked paths.
 
     Strict positivity: grid points where the path is exactly zero (the
-    endpoints) never count.  ``out``, a bool array of the values' shape,
+    endpoints) never count.  ``out``, a bool array of the path's shape,
     receives the mask.
     """
-    mask = np.greater(path.values, 0.0, out=out)
+    if np.ndim(path) not in (1, 2):
+        raise DomainError("a bridge path is one row or a stack of rows")
+    m = _grid_size(np.shape(path)[-1] - 1)
+    mask = np.greater(path, 0.0, out=out)
     if subset is not None:
-        mask &= subset.contains(np.arange(path.m + 1) / path.m)
-    occ = np.count_nonzero(mask, axis=-1) / path.m
-    return float(occ) if path.values.ndim == 1 else occ
+        mask &= subset.contains(np.arange(m + 1) / m)
+    occ = np.count_nonzero(mask, axis=-1) / m
+    return float(occ) if mask.ndim == 1 else occ
 
 
 def occupation_experiment(paths: int, m: int = 2048,

@@ -32,12 +32,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import (DataError, DomainError, NumericError, ParameterError,
-                     StochordError)
+from .errors import DataError, DomainError, ParameterError, StochordError
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .distributions import Distribution
     from .indices import GridSpec
 
@@ -62,21 +59,22 @@ class CommandConfig:
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("STOCHORD_SEED")
-    if env is not None:
+    """The master seed: ``--seed``, else STOCHORD_SEED, else 0; a
+    nonnegative integer."""
+    if value is None:
+        env = os.environ.get("STOCHORD_SEED", "0")
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise DomainError(f"STOCHORD_SEED={env!r} is not an integer") from None
-    return 0
+    if value < 0:
+        raise DomainError(f"the seed must be nonnegative, got {value}")
+    return value
 
 
 def _load_model(path: str) -> Distribution:
     """Model from a JSON descriptor file or a one-column sample CSV."""
-    from .distributions import Empirical, from_descriptor
-    from .io_utils import load_sample_csv
+    from .distributions import from_descriptor
     p = Path(path)
     if not p.exists():
         raise DataError(f"model file not found: {p}")
@@ -86,35 +84,25 @@ def _load_model(path: str) -> Distribution:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{p}: invalid JSON ({exc})") from None
         return from_descriptor(desc, base_dir=p.parent)
-    return Empirical(load_sample_csv(p), csv_path=str(p))
-
-
-def _quantile_extended(model: Distribution, ts: np.ndarray) -> np.ndarray:
-    """Quantiles over a closed grid: t=0 maps to -inf (the generalized
-    inverse of the empty constraint), t=1 to the top of the support."""
-    import numpy as np
-
-    from .distributions import Empirical
-    out = np.empty(ts.shape)
-    inner = (ts > 0.0) & (ts < 1.0)
-    out[inner] = model.quantile(ts[inner])
-    out[ts <= 0.0] = -np.inf
-    top = model.values[-1] if isinstance(model, Empirical) else np.inf
-    out[ts >= 1.0] = top
-    return out
+    return from_descriptor({"kind": "empirical", "csv": str(p)})
 
 
 def emit_quantile_table(F: Distribution, G: Distribution, grid: GridSpec,
                         path) -> None:
     """CSV with one row per grid point: t, both quantiles, and the
-    indicator of F's quantile strictly exceeding G's."""
+    indicator of F's quantile strictly exceeding G's.  The grid has
+    t = 0 and t = 1 only at its ends: t = 0 maps to -inf (the generalized
+    inverse of the empty constraint), t = 1 to the top of the support."""
     import numpy as np
 
+    from .distributions import Empirical
     from .io_utils import atomic_write_csv
     m = grid.points
     ts = np.arange(m) / (m - 1)
-    qf = _quantile_extended(F, ts)
-    qg = _quantile_extended(G, ts)
+    qf, qg = (np.concatenate((
+        [-np.inf], D.quantile(ts[1:-1]),
+        [D.values[-1] if isinstance(D, Empirical) else np.inf]))
+        for D in (F, G))
     rows = [[float(t), float(a), float(b), int(a > b)]
             for t, a, b in zip(ts, qf, qg)]
     atomic_write_csv(path, ["t", "F_quantile", "G_quantile",
@@ -196,9 +184,10 @@ def _cmd_test_gamma(config: CommandConfig) -> None:
 
 
 def _cmd_simulate_table(config: CommandConfig) -> None:
+    from .indices import gamma_index
     from .io_utils import atomic_write_csv, atomic_write_json
     from .rng import SeedSpec
-    from .simharness import builtin_scenarios, run_table, verify_nominal_gamma
+    from .simharness import builtin_scenarios, run_table
     opt = config.options
     scenarios = builtin_scenarios()
     wanted = []
@@ -213,7 +202,7 @@ def _cmd_simulate_table(config: CommandConfig) -> None:
         cells.append((sc, gamma0, opt["n"]))
     results = run_table(cells, opt["reps"], opt["B"], opt["alpha"],
                         SeedSpec(config.seed), threads=_threads(opt))
-    nominal = {sc.name: verify_nominal_gamma(sc) for sc in wanted} \
+    nominal = {sc.name: gamma_index(sc.F, sc.G) for sc in wanted} \
         if opt.get("verify_nominal") else None
     payload = {
         "cells": [r.to_json() for r in results],
@@ -332,21 +321,19 @@ def run_command(config: CommandConfig) -> int:
         _DISPATCH[config.subcommand](config)
         _write_run_info(config, started)
         return 0
-    except DataError as exc:
-        _print_error(exc, 3)
-        return 3
-    except (DomainError, ParameterError) as exc:
-        _print_error(exc, 2)
-        return 2
-    except (NumericError, StochordError) as exc:
-        _print_error(exc, 4)
-        return 4
+    except StochordError as exc:
+        return _print_error(exc)
 
 
-def _print_error(exc: Exception, code: int) -> None:
+def _print_error(exc: StochordError) -> int:
+    """Print the error JSON of ``exc`` and return its exit code: 3 for
+    data errors, 2 for domain and parameter errors, else 4."""
     from .io_utils import canonical_json
+    code = 3 if isinstance(exc, DataError) else \
+        2 if isinstance(exc, (DomainError, ParameterError)) else 4
     print(canonical_json({"error": type(exc).__name__, "message": str(exc),
                           "exit_code": code}), file=sys.stdout)
+    return code
 
 
 def _positive(kind):
@@ -467,12 +454,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-    except (DomainError, ParameterError) as exc:
-        _print_error(exc, 2)
-        return 2
-    except DataError as exc:
-        _print_error(exc, 3)
-        return 3
+    except StochordError as exc:
+        return _print_error(exc)
     return run_command(config)
 
 

@@ -61,8 +61,10 @@ class GridSpec:
     points: int = 1001
 
     def __post_init__(self):
-        if int(self.points) != self.points or self.points < 3:
-            raise ParameterError("grid needs at least 3 points")
+        # NaN fails every comparison, and inf % 1 is NaN
+        if not (self.points >= 3 and self.points % 1 == 0):
+            raise ParameterError(f"grid needs a whole number of at least 3 "
+                                 f"points, got {self.points!r}")
 
     def interior(self) -> np.ndarray:
         m = self.points
@@ -206,11 +208,12 @@ def rho_index(F: Distribution, G: Distribution) -> float:
 _TAIL_LEVELS = np.logspace(-12, math.log10(0.5), 49)[:-1]
 
 
-def _tail_u_grid() -> np.ndarray:
-    """Probability grid: 2048 uniform core levels j/2049 plus log-spaced
-    tails to 1e-12."""
-    core = np.arange(1, 2049, dtype=float) / 2049
-    return np.unique(np.concatenate((core, _TAIL_LEVELS, 1.0 - _TAIL_LEVELS)))
+# Probability grid of pi's peak search: 2048 uniform core levels j/2049
+# plus the log-spaced tails to 1e-12, all distinct.  Sorted, not passed
+# through np.unique: on floats that imports numpy.ma (about 12 ms), which
+# every command importing this module would then pay.
+_TAIL_U_GRID = np.sort(np.concatenate((
+    np.arange(1, 2049) / 2049, _TAIL_LEVELS, 1.0 - _TAIL_LEVELS)))
 
 
 def _sign_roots(h, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,7 +236,7 @@ def _sign_roots(h, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Levels at which `_crossings` brackets the roots of G - F: t_j =
-# j/20002, and below and above them the tail levels of `_tail_u_grid`,
+# j/20002, and below and above them the tail levels of `_TAIL_U_GRID`,
 # reaching 1e-12 into each tail like pi's search.
 _CROSSING_TAILS = _TAIL_LEVELS[_TAIL_LEVELS < 1 / 20002]
 _CROSSING_LEVELS = np.concatenate((
@@ -276,8 +279,8 @@ def _gap_peaks(F: Distribution, G: Distribution
     if f_emp or g_emp:
         z = (F if f_emp else G).values
         return G.cdf(z), _cdf_left(F, z)
-    u = _tail_u_grid()
-    xs = np.unique(np.concatenate((F.quantile(u), G.quantile(u))))
+    xs = np.unique(np.concatenate((F.quantile(_TAIL_U_GRID),
+                                   G.quantile(_TAIL_U_GRID))))
     roots, sign = _sign_roots(lambda x: G.density(x) - F.density(x), xs)
     x = roots[sign[:-1] > 0]
     return G.cdf(x), F.cdf(x)
@@ -415,7 +418,9 @@ def optimal_copula_eval(pi0: float, x, y):
     ya = np.asarray(y, dtype=float)
     scalar = xa.ndim == 0 and ya.ndim == 0
     xa, ya = np.broadcast_arrays(np.atleast_1d(xa), np.atleast_1d(ya))
-    if xa.size and (xa.min() < 0 or xa.max() > 1 or ya.min() < 0 or ya.max() > 1):
+    # NaN fails every comparison
+    if xa.size and not (xa.min() >= 0 and xa.max() <= 1
+                        and ya.min() >= 0 and ya.max() <= 1):
         raise DomainError("copula arguments must lie in [0, 1]")
     hi_x, hi_y = xa >= 1.0 - pi0, ya >= pi0
     out = np.where(

@@ -18,6 +18,7 @@ their replicates through it in blocks of rows on a thread pool, and
 """
 from __future__ import annotations
 
+import operator
 import os
 import threading
 from dataclasses import dataclass, field
@@ -54,12 +55,12 @@ class SeedSpec:
     path: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.master, int) or isinstance(self.master, bool):
-            raise TypeError("master seed must be an int")
-        if self.master < 0:
-            raise ValueError("master seed must be nonnegative")
+        if not isinstance(self.master, int) or isinstance(self.master, bool) \
+                or self.master < 0:
+            raise DomainError(f"master seed must be a nonnegative int, got "
+                              f"{self.master!r}")
         if not all(isinstance(k, int) and k >= 0 for k in self.path):
-            raise ValueError("stream path entries must be nonnegative ints")
+            raise DomainError("stream path entries must be nonnegative ints")
 
     def child(self, *indices: int) -> "SeedSpec":
         """Return the substream obtained by extending the path."""
@@ -84,12 +85,16 @@ class SeedSpec:
 
 
 def as_seed(seed: "SeedSpec | int | None") -> SeedSpec:
-    """Coerce an int or None into a SeedSpec (None means master seed 0)."""
+    """Coerce an integer or None into a SeedSpec (None means master seed
+    0).  A number that is not an integer raises DomainError."""
     if seed is None:
         return SeedSpec(0)
     if isinstance(seed, SeedSpec):
         return seed
-    return SeedSpec(int(seed))
+    try:
+        return SeedSpec(operator.index(seed))
+    except TypeError:
+        raise DomainError(f"seed must be an integer, got {seed!r}") from None
 
 
 # numpy's SeedSequence constants (O'Neill's seed_seq mixing, pool of

@@ -22,7 +22,6 @@ __all__ = [
     "Scenario",
     "ExperimentResult",
     "builtin_scenarios",
-    "verify_nominal_gamma",
     "run_table1_cell",
     "run_table",
     "asymptotic_law_experiment",
@@ -40,7 +39,9 @@ class Scenario:
 
 
 def builtin_scenarios() -> dict[str, Scenario]:
-    """The eight calibrated cases (four targets, two families each)."""
+    """The eight calibrated cases (four targets, two families each):
+    each one's exact gamma(F, G) lies within 4e-4 of its nominal
+    target."""
     t_variants = [
         ("case1-t", 0.167, 13.0, 11.0, 0.02),
         ("case2-t", 0.5, 13.13, 10.0, 0.05),
@@ -60,13 +61,6 @@ def builtin_scenarios() -> dict[str, Scenario]:
         out[name] = Scenario(name, Normal(0.0, sd0), NormalMixture(comps),
                              nominal)
     return out
-
-
-def verify_nominal_gamma(scenario: Scenario) -> float:
-    """Exact gamma(F, G); the built-in scenarios land within 4e-4 of
-    their nominal targets."""
-    from .indices import gamma_index
-    return gamma_index(scenario.F, scenario.G)
 
 
 @dataclass(frozen=True)

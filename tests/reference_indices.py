@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from stochord.indices import _tail_u_grid
+from stochord.indices import _TAIL_U_GRID
 
 
 def sup_gap_reference(F, G, rounds=4, top_k=8):
@@ -23,8 +23,8 @@ def sup_gap_reference(F, G, rounds=4, top_k=8):
     neighbors), then the neighborhoods of the leading local maxima are
     subdivided a few times.
     """
-    u = _tail_u_grid()
-    xs = np.unique(np.concatenate((F.quantile(u), G.quantile(u))))
+    xs = np.unique(np.concatenate((F.quantile(_TAIL_U_GRID),
+                                   G.quantile(_TAIL_U_GRID))))
     best_x, best_d = xs[0], -np.inf
     for _ in range(rounds):
         d = np.asarray(G.cdf(xs)) - np.asarray(F.cdf(xs))

@@ -9,9 +9,9 @@ from stochord import (DomainError, SeedSpec, SubsetSpec, bridge_path,
 
 def test_bridge_path_shape_and_pinning():
     p = bridge_path(256, SeedSpec(1))
-    assert p.values.shape == (257,)
-    assert p.values[0] == 0.0
-    assert p.values[-1] == 0.0
+    assert p.shape == (257,)
+    assert p[0] == 0.0
+    assert p[-1] == 0.0
 
 
 def test_bridge_path_grid_must_be_power_of_two():
@@ -25,15 +25,15 @@ def test_bridge_path_deterministic():
     a = bridge_path(128, SeedSpec(7, (1,)))
     b = bridge_path(128, SeedSpec(7, (1,)))
     c = bridge_path(128, SeedSpec(7, (2,)))
-    assert np.array_equal(a.values, b.values)
-    assert not np.array_equal(a.values, c.values)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_bridge_marginal_variance():
     # var B(t) = t(1-t); check at quarter points over many paths
     seed = SeedSpec(3)
     m = 64
-    vals = np.array([bridge_path(m, seed.child(i)).values
+    vals = np.array([bridge_path(m, seed.child(i))
                      for i in range(4000)])
     for j in (m // 4, m // 2, 3 * m // 4):
         t = j / m
@@ -59,8 +59,7 @@ def test_occupation_negation_symmetry():
     seed = SeedSpec(5)
     for i in range(32):
         p = bridge_path(128, seed.child(i))
-        neg = type(p)(m=p.m, values=-p.values)
-        assert occupation_positive(p) + occupation_positive(neg) \
+        assert occupation_positive(p) + occupation_positive(-p) \
             == pytest.approx(1.0 - 1 / 128, abs=1e-12)
 
 
@@ -162,3 +161,14 @@ def test_nonconsistency_demo_warns_on_degenerate_set():
         nonconsistency_demo(Normal(0, 1), Normal(0, 2), gamma_true=0.5,
                             gamma_set_length=0.0, n=100, reps=10,
                             seed=SeedSpec(11))
+
+
+def test_occupation_needs_a_power_of_two_grid():
+    for length in (1, 2, 4, 100, 2048):
+        with pytest.raises(DomainError):
+            occupation_positive(np.zeros(length))
+        with pytest.raises(DomainError):
+            occupation_positive(np.zeros((3, length)))
+    with pytest.raises(DomainError):
+        occupation_positive(np.zeros(()))
+    assert occupation_positive(np.ones(5)) == 1.25

@@ -350,6 +350,31 @@ def test_seed_env_fallback(tmp_path, normal_pair, monkeypatch):
     assert main(["indices", "--f", f, "--g", g, "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["test-gamma", "--x", "{x}", "--y", "{y}", "--gamma0", "0.3",
+     "--B", "20", "--seed", "-1"],
+    ["simulate-table", "--case", "2", "--n", "20", "--reps", "2",
+     "--B", "20", "--seed", "-1"],
+    ["bridge-lab", "--paths", "5", "--bridge-grid", "64", "--seed", "-1"],
+    ["limit-law", "--index", "pi", "--f", "{f}", "--g", "{g}",
+     "--reps", "20", "--seed", "-1"],
+    ["test-gamma", "--x", "{x}", "--y", "{y}", "--gamma0", "0.3",
+     "--B", "20"],
+], ids=["test-gamma", "simulate-table", "bridge-lab", "limit-law", "env"])
+def test_negative_seed_is_a_usage_error(tmp_path, sample_pair, normal_pair,
+                                        capsys, monkeypatch, argv):
+    # the last case takes its seed from the environment
+    monkeypatch.setenv("STOCHORD_SEED", "-1")
+    (x, y), (f, g) = sample_pair, normal_pair
+    out = tmp_path / "out"
+    argv = [a.format(x=x, y=y, f=f, g=g) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err == {"error": "DomainError", "exit_code": 2,
+                   "message": "the seed must be nonnegative, got -1"}
+    assert not out.exists()
+
+
 def test_seed_flag_beats_env(tmp_path, normal_pair, monkeypatch):
     f, g = normal_pair
     out = tmp_path / "out"

@@ -4,8 +4,10 @@ scipy, which the tests keep as an oracle only.
 Every check runs in a fresh interpreter, since this test process has
 long since imported numpy and scipy.
 """
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -62,9 +64,15 @@ def cli(argv: list[str]) -> dict:
     (["galton", "--x", "x.csv"], 2),                  # argparse usage error
     (["simulate-table", "--case", "1", "--n", "10", "--reps", "1",
       "--alpha", "2"], 2),                            # option out of range
+    (["bridge-lab", "--seed", "-1"], 2),              # negative seed
 ])
 def test_front_end_loads_neither_numpy_nor_scipy(argv, rc):
     assert cli(argv) == {"rc": rc, "loaded": []}
+
+
+def test_negative_env_seed_loads_no_numpy(monkeypatch):
+    monkeypatch.setenv("STOCHORD_SEED", "-1")
+    assert cli(["bridge-lab"]) == {"rc": 2, "loaded": []}
 
 
 @pytest.fixture
@@ -142,6 +150,16 @@ def test_model_commands_load_no_scipy(tmp_path, samples, models, command):
 def test_public_names_resolve_on_demand():
     assert fresh(PUBLIC_NAMES) == {"numpy_on_import": False,
                                    "unresolved": [], "not_in_dir": []}
+
+
+@pytest.mark.parametrize("module", sorted(
+    m.name for m in pkgutil.iter_modules(stochord.__path__)))
+def test_module_names_resolve(module):
+    # a name removed from a module goes from its __all__ and from the
+    # package's export table too
+    mod = importlib.import_module(f"stochord.{module}")
+    names = [*getattr(mod, "__all__", ()), *stochord._EXPORTS.get(module, ())]
+    assert [n for n in names if not hasattr(mod, n)] == []
 
 
 def test_unknown_name_raises_attribute_error():

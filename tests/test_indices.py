@@ -9,7 +9,7 @@ from stochord import (DomainError, Empirical, GridSpec, NoncentralT1, Normal,
                       epsilon_index, gamma_index, index_report,
                       optimal_copula_eval, pi_index, rearranged_quantile,
                       rho_index, vartheta_index)
-from stochord.indices import _crossings, _support_knots
+from stochord.indices import _TAIL_U_GRID, _crossings, _support_knots
 
 from model_strategies import mixtures, normals, t1s
 from reference_indices import sup_gap_reference
@@ -372,6 +372,13 @@ def test_copula_margins_and_bounds():
         assert np.all(c >= np.maximum(xs + ys - 1.0, 0.0) - 1e-15)
 
 
+@pytest.mark.parametrize("x, y", [(np.nan, 0.5), (0.5, np.nan),
+                                  ([0.2, np.nan], 0.5), (1.5, 0.5)])
+def test_copula_rejects_arguments_outside_the_square(x, y):
+    with pytest.raises(DomainError):
+        optimal_copula_eval(0.2, x, y)
+
+
 def test_copula_comonotone_at_zero():
     xs = np.array([0.2, 0.7, 0.5])
     ys = np.array([0.6, 0.3, 0.5])
@@ -395,9 +402,15 @@ def test_copula_coupling_exceedance_mass():
     assert abs(mass_above - pi0) < 0.01
 
 
+def test_tail_u_grid_levels_are_distinct_and_inside():
+    assert np.all(np.diff(_TAIL_U_GRID) > 0)
+    assert 0.0 < _TAIL_U_GRID[0] and _TAIL_U_GRID[-1] < 1.0
+
+
 def test_grid_spec_validation_and_interior():
-    with pytest.raises(ParameterError):
-        GridSpec(2)
+    for bad in (2, 10.5, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            GridSpec(bad)
     g = GridSpec(11)
     assert np.allclose(g.interior(), np.arange(1, 10) / 10)
 

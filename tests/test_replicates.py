@@ -134,6 +134,23 @@ def test_rekeyed_rows_match_one_generator_each(name):
         assert row.tolist() == out.tolist()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: rng.SeedSpec(-1), lambda: rng.SeedSpec(True),
+    lambda: rng.SeedSpec(1.0), lambda: rng.SeedSpec(1, (-1,)),
+    lambda: rng.as_seed(1.5), lambda: rng.as_seed(-1),
+    lambda: rng.as_seed(np.float64(2.0)), lambda: rng.as_seed("3"),
+], ids=["negative", "bool", "float", "negative-path", "as-float",
+        "as-negative", "as-numpy-float", "as-str"])
+def test_bad_seeds_raise_domain_error(make):
+    with pytest.raises(DomainError):
+        make()
+
+
+def test_as_seed_takes_integers():
+    assert rng.as_seed(np.int64(3)) == rng.SeedSpec(3)
+    assert rng.as_seed(None) == rng.SeedSpec(0)
+
+
 @pytest.mark.parametrize("model", [
     Normal(1.0, 2.0), NoncentralT1(0.5), MIXTURE, Empirical([3.0, 1.0, 2.0]),
     F_SHIFT, G_SHIFT],
@@ -152,12 +169,12 @@ def test_bridge_path_rows_match_one_seed_each():
     seed = SeedSpec(6)
     seeds = [seed.child(i) for i in range(5)]
     block = bridge_path(128, seed.child_keys(5))
-    assert block.values.shape == (5, 129)
+    assert block.shape == (5, 129)
     subset = SubsetSpec(((0.1, 0.4), (0.5, 0.9)))
     occ = occupation_positive(block, subset)
     for i, s in enumerate(seeds):
         one = bridge_path(128, s)
-        assert np.array_equal(block.values[i], one.values)
+        assert np.array_equal(block[i], one)
         assert occ[i] == occupation_positive(one, subset)
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from stochord import (DomainError, Normal, Scenario, SeedSpec,
-                      asymptotic_law_experiment, builtin_scenarios, run_table,
-                      run_table1_cell, verify_nominal_gamma)
+                      asymptotic_law_experiment, builtin_scenarios,
+                      gamma_index, run_table, run_table1_cell)
 
 
 def test_builtin_scenarios_complete():
@@ -20,14 +20,14 @@ def test_builtin_scenarios_complete():
 def test_nominal_gamma_spot_checks():
     # the full sweep over all eight runs in the acceptance suite
     sc = builtin_scenarios()
-    assert abs(verify_nominal_gamma(sc["case1-t"]) - 0.02) < 4e-4
-    assert abs(verify_nominal_gamma(sc["case4-mix"]) - 0.20) < 4e-4
+    for name, target in (("case1-t", 0.02), ("case4-mix", 0.20)):
+        assert abs(gamma_index(sc[name].F, sc[name].G) - target) < 4e-4
 
 
 def test_nominal_gamma_identical_pair_is_zero():
     s = Scenario(name="null", F=Normal(0, 1), G=Normal(0, 1),
                  nominal_gamma=0.0)
-    assert verify_nominal_gamma(s) == 0.0
+    assert gamma_index(s.F, s.G) == 0.0
 
 
 def test_cell_thread_count_invariance():
