@@ -3,13 +3,13 @@
 Used to verify, at desk scale, that the time a standard bridge spends
 positive is uniform on (0,1), that occupation restricted to a subset I
 has mean l(I)/2 and is non-degenerate iff l(I) > 0, and that the gamma
-plug-in fails to be consistent exactly when the quantile functions
-agree on a set of positive measure.
+plug-in fails to be consistent when the quantile functions agree on a
+set of positive measure, on one built-in pair whose quantiles agree on
+[1/3, 2/3].
 """
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,8 +168,6 @@ class _PiecewiseShiftQuantile(Distribution):
     kind = "piecewise-shift"
 
     def __init__(self, breaks: tuple[float, ...], shifts: tuple[float, ...]):
-        if len(shifts) != len(breaks) + 1:
-            raise DomainError("need one shift per piece")
         self.breaks = tuple(float(b) for b in breaks)
         self.shifts = tuple(float(s) for s in shifts)
 
@@ -205,74 +203,55 @@ class _PiecewiseShiftQuantile(Distribution):
                 "shifts": list(self.shifts)}
 
 
-def make_gamma_set_pair(delta: float = 1.0 / 9.0,
-                        gamma_set: tuple[float, float] = (1.0 / 3.0, 2.0 / 3.0),
-                        ) -> tuple[Distribution, Distribution, float, SubsetSpec]:
-    """Built-in pair whose quantiles agree exactly on ``gamma_set``.
+_DELTA = 1.0 / 9.0
+_GAMMA_SET = (1.0 / 3.0, 2.0 / 3.0)
 
-    F is uniform on (0,1) (quantile t); G's quantile is t - delta below
-    the set, t on it, and t + delta above.  Then {F^{-1} > G^{-1}} is
+
+def make_gamma_set_pair() -> tuple[Distribution, Distribution, float,
+                                   SubsetSpec]:
+    """Built-in pair whose quantiles agree exactly on [a, b] = [1/3, 2/3].
+
+    F is uniform on (0,1) (quantile t); G's quantile is t - 1/9 below
+    the set, t on it, and t + 1/9 above.  Then {F^{-1} > G^{-1}} is
     exactly (0, a), so gamma = a, and the agreement set is [a, b] with
     positive length, the regime where the plug-in is not consistent.
 
     Returns (F, G, exact gamma, agreement set).
     """
-    a, b = gamma_set
-    if not (0.0 < a < b < 1.0):
-        raise DomainError("gamma_set must satisfy 0 < a < b < 1")
-    if delta <= 0.0:
-        raise DomainError("delta must be positive")
+    a, b = _GAMMA_SET
     F = _PiecewiseShiftQuantile((), (0.0,))
-    G = _PiecewiseShiftQuantile((a, b), (-delta, 0.0, delta))
-    return F, G, float(a), SubsetSpec(((a, b),))
+    G = _PiecewiseShiftQuantile((a, b), (-_DELTA, 0.0, _DELTA))
+    return F, G, a, SubsetSpec((_GAMMA_SET,))
 
 
-def nonconsistency_demo(F: Distribution | None = None,
-                        G: Distribution | None = None,
-                        gamma_true: float | None = None,
-                        gamma_set_length: float | None = None,
-                        n: int = 10000, m: int | None = None,
-                        reps: int = 2000, bins: int = 40,
+def nonconsistency_demo(n: int = 10000, reps: int = 2000,
                         seed: SeedSpec | int | None = None,
                         threads: int = 1) -> dict:
-    """Monte Carlo distribution of the plug-in error gamma_hat - gamma.
+    """Monte Carlo distribution of the plug-in error gamma_hat - gamma
+    of the built-in pair (`make_gamma_set_pair`), n draws from each.
 
-    With the default built-in pair (quantiles agreeing on [1/3, 2/3])
-    the error converges to the time a bridge spends positive inside the
+    The error converges to the time a bridge spends positive inside the
     agreement set: a nondegenerate variable with mean l(Gamma)/2 = 1/6.
-    Supplying a pair with an agreement set of length zero makes the
-    demo degenerate to ordinary consistency (mean near 0); a warning is
-    emitted since that no longer demonstrates anything.  Replicate r
-    draws its samples from seed.child(r, 0) and seed.child(r, 1), in
-    blocks on ``threads`` pool threads; the result does not depend on
-    ``threads``.
+    Replicate r draws its samples from seed.child(r, 0) and
+    seed.child(r, 1), in blocks on ``threads`` pool threads; the result
+    does not depend on ``threads``.
     """
-    if (F is None) != (G is None):
-        raise DomainError("supply both F and G or neither")
     if reps < 2:
         raise DomainError(f"reps must be at least 2 for the sd, got {reps}")
-    if F is None:
-        F, G, gamma_true, gset = make_gamma_set_pair()
-        gamma_set_length = gset.length
-    if gamma_true is None:
-        raise DomainError("gamma_true is required for a user-supplied pair")
-    if gamma_set_length is not None and gamma_set_length <= 0.0:
-        warnings.warn("agreement set has length 0: the demo degenerates "
-                      "to ordinary consistency", stacklevel=2)
-    m = n if m is None else m
+    F, G, gamma_true, gset = make_gamma_set_pair()
     seed = as_seed(seed)
-    errors = _plugin_replicates(F, G, n, m, reps, seed, threads) - gamma_true
+    errors = _plugin_replicates(F, G, n, n, reps, seed, threads) - gamma_true
     lo = min(-0.05, float(errors.min()))
-    hi = max((gamma_set_length or 0.0) + 0.05, float(errors.max()))
-    counts, edges = np.histogram(errors, bins=bins, range=(lo, hi))
+    hi = max(gset.length + 0.05, float(errors.max()))
+    counts, edges = np.histogram(errors, bins=40, range=(lo, hi))
     return {
         "mean": float(errors.mean()),
         "sd": float(errors.std(ddof=1)),
         "reps": int(reps),
         "n": int(n),
-        "m": int(m),
-        "gamma_true": float(gamma_true),
-        "gamma_set_length": gamma_set_length,
+        "m": int(n),
+        "gamma_true": gamma_true,
+        "gamma_set_length": gset.length,
         "histogram": {"edges": [float(e) for e in edges],
                       "counts": [int(c) for c in counts]},
         "f": F.to_json(),

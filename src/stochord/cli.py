@@ -76,13 +76,13 @@ def _load_model(path: str) -> Distribution:
     """Model from a JSON descriptor file or a one-column sample CSV."""
     from .distributions import from_descriptor
     p = Path(path)
-    if not p.exists():
-        raise DataError(f"model file not found: {p}")
     if p.suffix.lower() == ".json":
         try:
             desc = json.loads(p.read_text())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{p}: invalid JSON ({exc})") from None
+        except OSError as exc:
+            raise DataError(f"{p}: cannot read: {exc.strerror}") from None
         return from_descriptor(desc, base_dir=p.parent)
     return from_descriptor({"kind": "empirical", "csv": str(p)})
 
@@ -317,7 +317,11 @@ def run_command(config: CommandConfig) -> int:
     prints machine-readable error JSON on failure."""
     try:
         started = time.perf_counter()
-        config.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            config.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ParameterError(
+                f"--out {config.out_dir}: {exc.strerror}") from None
         _DISPATCH[config.subcommand](config)
         _write_run_info(config, started)
         return 0

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (Distribution, Empirical, _bisect, _evaluator,
-                            _order_index)
+                            _order_index, _sorted_unique)
 from .errors import DomainError, NumericError, ParameterError
 
 __all__ = [
@@ -279,8 +279,8 @@ def _gap_peaks(F: Distribution, G: Distribution
     if f_emp or g_emp:
         z = (F if f_emp else G).values
         return G.cdf(z), _cdf_left(F, z)
-    xs = np.unique(np.concatenate((F.quantile(_TAIL_U_GRID),
-                                   G.quantile(_TAIL_U_GRID))))
+    xs = _sorted_unique(np.concatenate((F.quantile(_TAIL_U_GRID),
+                                        G.quantile(_TAIL_U_GRID))))
     roots, sign = _sign_roots(lambda x: G.density(x) - F.density(x), xs)
     x = roots[sign[:-1] > 0]
     return G.cdf(x), F.cdf(x)
@@ -306,8 +306,9 @@ def _support_knots(F: Distribution, G: Distribution) -> np.ndarray:
     i/n, where its CDF crosses the sample's steps and G - F changes sign
     with a kink."""
     knots = []
-    u = np.unique(np.concatenate((np.logspace(-10, math.log10(0.5), 201),
-                                  1.0 - np.logspace(-10, math.log10(0.5), 201))))
+    u = _sorted_unique(np.concatenate((
+        np.logspace(-10, math.log10(0.5), 201),
+        1.0 - np.logspace(-10, math.log10(0.5), 201))))
     for model, other in ((F, G), (G, F)):
         if isinstance(model, Empirical):
             knots.append(model.values)
@@ -315,7 +316,7 @@ def _support_knots(F: Distribution, G: Distribution) -> np.ndarray:
         knots.append(model.quantile(u))
         if isinstance(other, Empirical):
             knots.append(model.quantile(np.arange(1, other.n) / other.n))
-    return np.unique(np.concatenate(knots))
+    return _sorted_unique(np.concatenate(knots))
 
 
 _GL16 = np.polynomial.legendre.leggauss(16)
@@ -359,7 +360,8 @@ def epsilon_index(F: Distribution, G: Distribution) -> float | None:
         knots, pieces = _support_knots(F, G), 1
         if not (isinstance(F, Empirical) or isinstance(G, Empirical)):
             # (G - F)^+ and |G - F| have kinks at the roots of G - F
-            knots, pieces = np.union1d(knots, _sign_roots(gap, knots)[0]), 4
+            roots = _sign_roots(gap, knots)[0]
+            knots, pieces = _sorted_unique(np.concatenate((knots, roots))), 4
         xs, w = _gauss_legendre(knots, pieces)
         d = gap(xs.ravel()).reshape(xs.shape)
         pos = float(np.sum(np.maximum(d, 0.0) * w))

@@ -39,32 +39,32 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
-def load_sample_csv(path: str | os.PathLike, column: int | str = 0,
+def load_sample_csv(path: str | os.PathLike,
                     header: bool = False) -> np.ndarray:
-    """Read one numeric column from a CSV file.
+    """Read the first column of a CSV file, skipping a header row when
+    ``header`` is true.
 
-    ``column`` is a zero-based index, or a column name when ``header`` is
-    true.  Fields are comma-separated and may be double-quoted; blank
-    lines are skipped.  Raises DataError with the offending line number
-    for anything that is not a finite float, and without one for
-    negative column indices, empty files, bytes that do not decode and
-    rows the csv module rejects (such as a field over its size limit).
+    Fields are comma-separated and may be double-quoted; blank lines are
+    skipped.  Raises DataError with the offending line number for
+    anything that is not a finite float, and without one for empty
+    files, bytes that do not decode, rows the csv module rejects (such
+    as a field over its size limit) and paths that cannot be read (such
+    as a directory).
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"sample file not found: {path}")
-    if not isinstance(column, str) and int(column) < 0:
-        raise DataError(f"column index must be nonnegative, got {column}")
     try:
-        return _read_column(path, column, header)
+        return _read_column(path, header)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: unreadable CSV: {exc}") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from None
 
 
-def _read_column(path: Path, column: int | str, header: bool) -> np.ndarray:
+def _read_column(path: Path, header: bool) -> np.ndarray:
     with open(path, newline="") as fh:
-        col_idx = _column_index(path, csv.reader(fh), column, header)
-        values = _parse_column(fh, col_idx)
+        if header and next(csv.reader(fh), None) is None:
+            raise DataError(f"{path}: file is empty")
+        values = _parse_column(fh)
         if values is not None:
             return values
         # some cell is not a finite float: rescan row by row to report
@@ -73,29 +73,11 @@ def _read_column(path: Path, column: int | str, header: bool) -> np.ndarray:
         reader = csv.reader(fh)
         if header:
             next(reader)
-        return _parse_rows(path, reader, col_idx, 2 if header else 1)
+        return _parse_rows(path, reader, 2 if header else 1)
 
 
-def _column_index(path: Path, reader, column: int | str, header: bool) -> int:
-    """Resolve ``column`` to an index, consuming the header row if any."""
-    if header:
-        try:
-            head = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        if isinstance(column, str):
-            try:
-                return [h.strip() for h in head].index(column)
-            except ValueError:
-                raise DataError(
-                    f"{path}: no column named {column!r} in header") from None
-    elif isinstance(column, str):
-        raise DataError("named column selection requires header=True")
-    return int(column)
-
-
-def _parse_column(lines, col_idx: int) -> np.ndarray | None:
-    """Field ``col_idx`` of every remaining row in one vectorized pass.
+def _parse_column(lines) -> np.ndarray | None:
+    """Field 0 of every remaining row in one vectorized pass.
 
     Returns None, leaving the verdict to `_parse_rows`, when there are
     no data rows or some field is not a finite float.  numpy rejects
@@ -114,27 +96,23 @@ def _parse_column(lines, col_idx: int) -> np.ndarray | None:
         return None
     try:
         values = np.loadtxt(itertools.chain((first,), lines), delimiter=",",
-                            usecols=col_idx, comments=None, quotechar='"',
+                            usecols=0, comments=None, quotechar='"',
                             ndmin=1)
     except ValueError:
         return None
     return values if np.isfinite(values).all() else None
 
 
-def _parse_rows(path: Path, reader, col_idx: int,
-                start_line: int) -> np.ndarray:
-    """The row loop: the values, or DataError at the first bad row."""
+def _parse_rows(path: Path, reader, start_line: int) -> np.ndarray:
+    """The row loop over field 0: the values, or DataError at the first
+    bad row."""
     import numpy as np
 
     values: list[float] = []
     for lineno, row in enumerate(reader, start=start_line):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
-        if col_idx >= len(row):
-            raise DataError(
-                f"{path}:{lineno}: row has {len(row)} fields, "
-                f"need column {col_idx}")
-        cell = row[col_idx].strip()
+        cell = row[0].strip()
         try:
             v = float(cell)
         except ValueError:

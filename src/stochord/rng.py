@@ -49,6 +49,8 @@ class SeedSpec:
     produce the same draws; specs with different paths are statistically
     independent.  Substreams for parallel work units are derived by
     extending the path with the unit index, never by sharing a generator.
+    The master is any nonnegative int; path entries, which are replicate,
+    cell and suffix indices, lie in [0, 2**32).
     """
 
     master: int
@@ -59,8 +61,10 @@ class SeedSpec:
                 or self.master < 0:
             raise DomainError(f"master seed must be a nonnegative int, got "
                               f"{self.master!r}")
-        if not all(isinstance(k, int) and k >= 0 for k in self.path):
-            raise DomainError("stream path entries must be nonnegative ints")
+        if not all(isinstance(k, int) and 0 <= k <= _MASK32
+                   for k in self.path):
+            raise DomainError("stream path entries must be ints in "
+                              "[0, 2**32)")
 
     def child(self, *indices: int) -> "SeedSpec":
         """Return the substream obtained by extending the path."""
@@ -74,9 +78,8 @@ class SeedSpec:
     def child_keys(self, count: int, *suffix: int) -> np.ndarray:
         """Stream keys (count, 2) of ``self.child(r, *suffix)`` for r in
         range(count), as `stream_keys` gives them."""
-        row = self.path + (0,) + tuple(int(i) for i in suffix)
-        paths = np.tile(np.array(row, dtype=np.int64 if max(row) < 2**63
-                                 else object), (int(count), 1))
+        row = self.child(0, *suffix).path
+        paths = np.tile(np.array(row, dtype=np.int64), (int(count), 1))
         paths[:, len(self.path)] = np.arange(int(count))
         return stream_keys(self.master, paths)
 
@@ -124,25 +127,19 @@ def stream_keys(master: int, paths) -> np.ndarray:
     ``np.random.SeedSequence(master, spawn_key=paths[i]).generate_state(
     2, np.uint64)``.
 
-    ``paths`` is a (k, p) integer array or a sequence of k paths of p
-    nonnegative integers each.  SeedSequence mixes its 32-bit entropy
-    words with uint32 multiply, xor and shift, and its hash constants
-    follow a fixed sequence, so one pass over the path columns keys
-    every row at once.  The master's words are mixed first, the same for
-    every row: that is SeedSequence(master)'s pool.  Rows with an entry
-    of several words fall back to SeedSequence.
+    ``paths`` is a (k, p) integer array of entries in [0, 2**32), one
+    32-bit word each, as `SeedSpec.child_keys` builds it.  SeedSequence
+    mixes its 32-bit entropy words with uint32 multiply, xor and shift,
+    and its hash constants follow a fixed sequence, so one pass over the
+    path columns keys every row at once.  The master's words are mixed
+    first, the same for every row: that is SeedSequence(master)'s pool.
     """
-    if not (isinstance(paths, np.ndarray) and paths.dtype.kind in "iu"):
-        # as Python ints: numpy would give mixed int64 and uint64 entries
-        # a float dtype
-        paths = np.array(paths, dtype=object)
-    if paths.ndim != 2:
-        raise DomainError(f"paths must be a (k, p) array, got shape "
-                          f"{paths.shape}")
-    if (paths < 0).any():
-        raise DomainError("stream path entries must be nonnegative")
-    one_word = (paths <= _MASK32).all(axis=1)
-    words = paths[one_word].astype(np.uint32).T
+    if not (isinstance(paths, np.ndarray) and paths.dtype.kind in "iu"
+            and paths.ndim == 2):
+        raise DomainError("paths must be a (k, p) integer array")
+    if ((paths < 0) | (paths > _MASK32)).any():
+        raise DomainError("stream path entries must lie in [0, 2**32)")
+    words = paths.astype(np.uint32).T
     master = int(master)
     # mixing the master's words hashes once per pool word, once per
     # ordered pair of distinct pool words, and 4 times per master word
@@ -160,13 +157,7 @@ def stream_keys(master: int, paths) -> np.ndarray:
     a, b = _hash_consts(_INIT_B, _MULT_B, 0, 4)
     state = ((pool ^ a) * b).astype(np.uint64)
     state ^= state >> 16
-    keys = np.empty((len(paths), 2), dtype=np.uint64)
-    keys[one_word] = (state[0::2] | state[1::2] << 32).T
-    for i in np.flatnonzero(~one_word):
-        keys[i] = np.random.SeedSequence(
-            master, spawn_key=[int(v) for v in paths[i]]).generate_state(
-                2, np.uint64)
-    return keys
+    return (state[0::2] | state[1::2] << 32).T
 
 
 def draw_rows(seed: "SeedSpec | int | np.ndarray | None",

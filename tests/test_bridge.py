@@ -129,13 +129,6 @@ def test_gamma_set_pair_models_are_proper():
     assert stats.kstest(xs, lambda v: np.asarray(G.cdf(v))).statistic < 0.04
 
 
-def test_gamma_set_pair_validation():
-    with pytest.raises(DomainError):
-        make_gamma_set_pair(delta=0.0)
-    with pytest.raises(DomainError):
-        make_gamma_set_pair(gamma_set=(0.5, 0.4))
-
-
 def test_nonconsistency_demo_small_run():
     out = nonconsistency_demo(n=300, reps=60, seed=SeedSpec(9))
     assert out["reps"] == 60
@@ -144,23 +137,6 @@ def test_nonconsistency_demo_small_run():
     # the error should be visibly biased upward already at n=300
     assert out["mean"] > 0.05
     assert out["sd"] > 0.02
-
-
-def test_nonconsistency_demo_custom_pair_needs_gamma():
-    F, G, gamma, _ = make_gamma_set_pair(delta=0.05)
-    with pytest.raises(DomainError):
-        nonconsistency_demo(F, G)
-    out = nonconsistency_demo(F, G, gamma_true=gamma, n=200, reps=20,
-                              seed=SeedSpec(10))
-    assert out["gamma_true"] == pytest.approx(gamma)
-
-
-def test_nonconsistency_demo_warns_on_degenerate_set():
-    from stochord import Normal
-    with pytest.warns(UserWarning):
-        nonconsistency_demo(Normal(0, 1), Normal(0, 2), gamma_true=0.5,
-                            gamma_set_length=0.0, n=100, reps=10,
-                            seed=SeedSpec(11))
 
 
 def test_occupation_needs_a_power_of_two_grid():

@@ -322,6 +322,33 @@ def test_exit_code_data_errors(tmp_path, sample_pair, capsys):
     assert "line 3" in err["message"] or ":3" in err["message"]
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["galton", "--x", "{}", "--y", "{x}"], "d"),
+    (["indices", "--f", "{}", "--g", "{x}"], "d"),
+    (["indices", "--f", "{}", "--g", "{x}"], "d.json"),
+], ids=["galton-csv", "indices-csv", "indices-json"])
+def test_directory_input_is_a_data_error(tmp_path, sample_pair, capsys,
+                                         argv, name):
+    (tmp_path / name).mkdir()
+    argv = [a.format(str(tmp_path / name), x=sample_pair[0]) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "DataError"
+    assert err["message"].startswith(f"{tmp_path / name}: cannot read")
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-a-file"])
+def test_out_that_is_no_directory_is_a_usage_error(tmp_path, normal_pair,
+                                                   capsys, below):
+    (tmp_path / "taken").write_text("")
+    out = tmp_path / "taken" / below
+    assert main(["indices", "--f", normal_pair[0], "--g", normal_pair[1],
+                 "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ParameterError"
+    assert err["message"].startswith(f"--out {out}:")
+
+
 def test_exit_code_numeric_error(tmp_path):
     # near-tangent pair: density gap at the crossing is below the
     # cleanliness threshold, an assumption violation

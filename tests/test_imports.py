@@ -1,5 +1,6 @@
 """Import hygiene: each command loads only what it uses, and none loads
-scipy, which the tests keep as an oracle only.
+scipy, which the tests keep as an oracle only, or numpy.ma, which a
+plain np.unique on floats would import (about 12 ms per run).
 
 Every check runs in a fresh interpreter, since this test process has
 long since imported numpy and scipy.
@@ -20,7 +21,7 @@ import stochord
 SRC = str(Path(stochord.__file__).resolve().parent.parent)
 
 # runs `stochord.cli.main(argv)` and prints its exit code and which of
-# numpy and scipy it loaded
+# numpy, numpy.ma and scipy it loaded
 RUN_CLI = """
 import json, sys
 from stochord.cli import main
@@ -28,7 +29,8 @@ try:
     rc = main(json.loads(sys.argv[1]))
 except SystemExit as exc:
     rc = exc.code
-heavy = sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+heavy = sorted(({m.split(".")[0] for m in sys.modules} | set(sys.modules))
+               & {"numpy", "numpy.ma", "scipy"})
 print(json.dumps({"rc": rc, "loaded": heavy}))
 """
 
@@ -123,19 +125,27 @@ def models(tmp_path):
     paths = {}
     for name, desc in (("t1", {"kind": "t1", "ncp": 0.5}),
                        ("normal", {"kind": "normal", "mean": 13.13,
-                                   "sd": 10.0})):
+                                   "sd": 10.0}),
+                       ("mixture", {"kind": "mixture", "components": [
+                           {"w": 0.03, "mean": -4.0, "sd": 1.0},
+                           {"w": 0.97, "mean": 1.0, "sd": 1.0}]})):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(desc))
     return {k: str(v) for k, v in paths.items()}
 
 
-@pytest.mark.parametrize("command", ["indices-models", "indices-sample-t1",
-                                     "limit-gamma", "limit-pi"])
+@pytest.mark.parametrize("command", ["indices-models", "indices-mixture",
+                                     "indices-mixture-t1",
+                                     "indices-sample-t1", "limit-gamma",
+                                     "limit-pi"])
 def test_model_commands_load_no_scipy(tmp_path, samples, models, command):
-    f, g = models["t1"], models["normal"]
+    f, g, mix = models["t1"], models["normal"], models["mixture"]
     argv = {
         "indices-models": ["indices", "--f", f, "--g", g, "--grid", "101",
                            "--quantile-table"],
+        "indices-mixture": ["indices", "--f", g, "--g", mix, "--grid", "101"],
+        "indices-mixture-t1": ["indices", "--f", mix, "--g", f,
+                               "--grid", "101"],
         "indices-sample-t1": ["indices", "--f", samples[0], "--g", f,
                               "--grid", "101"],
         "limit-gamma": ["limit-law", "--index", "gamma", "--f", f, "--g", g,

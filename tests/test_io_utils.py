@@ -19,37 +19,23 @@ from stochord import io_utils
 from stochord.io_utils import load_sample_csv
 
 
-def reference_load(path, column=0, header=False):
-    """The row-by-row parser, one cell at a time through ``float``."""
-    if not path.exists():
-        raise DataError(f"sample file not found: {path}")
+def reference_load(path, header=False):
+    """The row-by-row parser of the first column, one cell at a time
+    through ``float``."""
     values = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        col_idx = None if isinstance(column, str) else int(column)
         start_line = 1
         if header:
             try:
-                head = next(reader)
+                next(reader)
             except StopIteration:
                 raise DataError(f"{path}: file is empty") from None
             start_line = 2
-            if isinstance(column, str):
-                try:
-                    col_idx = [h.strip() for h in head].index(column)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: no column named {column!r} in header") from None
-        elif isinstance(column, str):
-            raise DataError("named column selection requires header=True")
         for lineno, row in enumerate(reader, start=start_line):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if col_idx >= len(row):
-                raise DataError(
-                    f"{path}:{lineno}: row has {len(row)} fields, "
-                    f"need column {col_idx}")
-            cell = row[col_idx].strip()
+            cell = row[0].strip()
             try:
                 v = float(cell)
             except ValueError:
@@ -130,18 +116,17 @@ def odd_cells(draw):
 
 @st.composite
 def csv_files(draw, odd_cells_per_file, blank_lines):
-    """(text, column, header): rows of clean cells joined by commas, a
-    few of them replaced by odd cells, with blank lines, line endings
-    and an optional named header."""
+    """(text, header): rows of clean cells joined by commas, a few of
+    them replaced by odd cells, with blank lines, line endings and an
+    optional header row."""
     width = draw(st.integers(1, 3))
-    column = draw(st.integers(0, width - 1))
     names = [f"c{j}" for j in range(width)]
     rows = [[draw(clean_cells())
              for _ in range(width + draw(st.integers(0, 1)))]
             for _ in range(draw(st.integers(0, 12)))]
     for _ in range(draw(odd_cells_per_file) if rows else 0):
         row = rows[draw(st.integers(0, len(rows) - 1))]
-        row[draw(st.sampled_from([column, len(row) - 1]))] = draw(odd_cells())
+        row[draw(st.sampled_from([0, len(row) - 1]))] = draw(odd_cells())
     lines = [",".join(row) for row in rows]
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))), draw(blank_lines))
@@ -152,8 +137,7 @@ def csv_files(draw, odd_cells_per_file, blank_lines):
     text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
     if draw(st.integers(0, 19)) == 0:
         text = "\ufeff" + text
-    selector = names[column] if header and draw(st.booleans()) else column
-    return text, selector, header
+    return text, header
 
 
 def _write(directory, text):
@@ -172,25 +156,25 @@ def scratch(tmp_path_factory):
 @given(csv_files(st.integers(0, 2),
                  st.sampled_from(["", " ", "\t", "  \t", '""'])))
 def test_parser_matches_row_loop(scratch, case):
-    text, column, header = case
+    text, header = case
     path = _write(scratch, text)
-    assert (outcome(load_sample_csv, path, column, header)
-            == outcome(reference_load, path, column, header))
+    assert (outcome(load_sample_csv, path, header)
+            == outcome(reference_load, path, header))
 
 
 @settings(max_examples=100, deadline=None)
 @given(csv_files(st.just(0), st.just("")))
 def test_valid_files_skip_the_row_loop(scratch, case):
-    text, column, header = case
+    text, header = case
     path = _write(scratch, text)
-    expected = outcome(reference_load, path, column, header)
+    expected = outcome(reference_load, path, header)
     rows_loop = mock.patch.object(io_utils, "_parse_rows",
                                   side_effect=AssertionError("row loop ran"))
     if expected[0] == "array":
         with rows_loop:
-            got = outcome(load_sample_csv, path, column, header)
+            got = outcome(load_sample_csv, path, header)
     else:       # no data rows: only the row loop reports that
-        got = outcome(load_sample_csv, path, column, header)
+        got = outcome(load_sample_csv, path, header)
     assert got == expected
 
 
@@ -201,28 +185,18 @@ def test_each_garbage_cell_between_valid_rows(tmp_path, cell):
 
 
 def test_bad_cell_reports_its_line(tmp_path):
-    path = _write(tmp_path, "x,y\n1,2\n\n3,abc\n")
+    path = _write(tmp_path, "x,y\n1,2\n\nabc,3\n")
     with pytest.raises(DataError, match=r"sample\.csv:4: cannot parse 'abc'"):
-        load_sample_csv(path, "y", header=True)
+        load_sample_csv(path, header=True)
     path = _write(tmp_path, "1.5\r\n2.5\r\ninf\r\n")
     with pytest.raises(DataError, match=r"sample\.csv:3: non-finite value 'inf'"):
         load_sample_csv(path)
 
 
 def test_quoted_cells_and_extra_columns(tmp_path):
-    path = _write(tmp_path, 'name,value\n"a","1.25",x\n\n"b", 2e-3 ,y,z')
-    got = load_sample_csv(path, "value", header=True)
+    path = _write(tmp_path, 'value,name\n"1.25","a",x\n\n 2e-3 ,"b",y,z')
+    got = load_sample_csv(path, header=True)
     assert got.tolist() == [1.25, 0.002]
-
-
-def test_negative_column_rejected(tmp_path):
-    path = _write(tmp_path, "1.5,2.5\n3.5,4.5\n")
-    # -1 must not select the last field
-    with pytest.raises(DataError, match="column index must be nonnegative"):
-        load_sample_csv(path, column=-1)
-    # -3 on a 2-field row must not escape as an IndexError
-    with pytest.raises(DataError, match="column index must be nonnegative"):
-        load_sample_csv(path, column=-3)
 
 
 def test_undecodable_bytes_raise_data_error(tmp_path):
