@@ -171,12 +171,14 @@ class _PiecewiseShiftQuantile(Distribution):
         self.breaks = tuple(float(b) for b in breaks)
         self.shifts = tuple(float(s) for s in shifts)
 
+    def _shifted(self, t: np.ndarray) -> np.ndarray:
+        # t plus the shift of its piece, the number of breaks below t
+        # (what searchsorted with side="left" gives)
+        return t + np.take(self.shifts, sum(t > b for b in self.breaks))
+
     @_evaluator(probability=True)
     def quantile(self, t):
-        # the piece of t is the number of breaks below it (what
-        # searchsorted with side="left" gives)
-        piece = sum(t > b for b in self.breaks)
-        return t + np.take(self.shifts, piece)
+        return self._shifted(t)
 
     @_evaluator()
     def cdf(self, x):
@@ -195,7 +197,8 @@ class _PiecewiseShiftQuantile(Distribution):
 
     def sample(self, n: int, seed) -> np.ndarray:
         u = draw_rows(seed, (int(n),), lambda rng, out: rng.random(out=out))
-        return self.quantile(np.clip(u, np.nextafter(0.0, 1.0),
+        # draws inside (0, 1), a block shifted whole: no check, no chunks
+        return self._shifted(np.clip(u, np.nextafter(0.0, 1.0),
                                      np.nextafter(1.0, 0.0), out=u))
 
     def to_json(self) -> dict:

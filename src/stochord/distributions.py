@@ -70,12 +70,17 @@ def _sorted_unique(x) -> np.ndarray:
     return x[keep]
 
 
+# evaluation chunks: the special functions' temporaries stay in cache
+_CHUNK = 8192
+
+
 def _evaluator(probability: bool = False):
     """Lift ``kernel(*head, x)``, written for a flat float64 array x, to
     the evaluator contract of the module docstring: x is converted and
-    raveled, the kernel's result takes x's shape, and a scalar x gives a
-    float.  With ``probability`` every element of x must lie strictly
-    inside (0, 1) (NaN fails both comparisons)."""
+    raveled, the kernel runs on chunks of `_CHUNK` values of it, the
+    result takes x's shape, and a scalar x gives a float.  With
+    ``probability`` every element of x must lie strictly inside (0, 1)
+    (NaN fails both comparisons)."""
     def wrap(kernel):
         @functools.wraps(kernel)
         def evaluator(*args):
@@ -86,7 +91,10 @@ def _evaluator(probability: bool = False):
                                                   and flat.max() < 1.0):
                 raise DomainError(
                     "quantile argument must lie strictly inside (0, 1)")
-            out = kernel(*head, flat).reshape(x.shape)
+            out = np.empty(flat.size)
+            for i in range(0, flat.size, _CHUNK):
+                out[i:i + _CHUNK] = kernel(*head, flat[i:i + _CHUNK])
+            out = out.reshape(x.shape)
             return float(out) if out.ndim == 0 else out
         return evaluator
     return wrap
@@ -298,7 +306,8 @@ class NoncentralT1(Distribution):
             # equals it to O(1/x^2), that is exactly beyond the table
             from .special import ndtr
             ncp = self.ncp
-            c = 2.0 * _phi(0.0) * (_phi(ncp) - ncp * ndtr(-ncp))
+            c = 2.0 * _phi(0.0) * (_phi(ncp)
+                                   - ncp * ndtr(np.array([-ncp]))[0])
             if p[below].min() * _DBL_MAX <= c:
                 raise NumericError("t1 quantile lies beyond the double range")
             x[below] = lo[below] = -c / p[below]
@@ -478,22 +487,30 @@ class Empirical(Distribution):
         return {"kind": "empirical", "values": [float(v) for v in self.values]}
 
 
+def _number(value) -> float:
+    """A JSON number (an int or a float, not a bool) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataError(f"model descriptor field {value!r} is not a number")
+    return float(value)
+
+
 def from_descriptor(obj: dict, base_dir: str | Path | None = None) -> Distribution:
     """Build a model from its JSON descriptor.
 
     Empirical descriptors may reference a CSV file (resolved against
-    ``base_dir`` when relative) or carry inline values.
+    ``base_dir`` when relative) or carry inline values.  Parameters and
+    values must be JSON numbers, not booleans or numeric strings.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DataError("model descriptor must be an object with a 'kind' field")
     kind = obj["kind"]
     try:
         if kind == "normal":
-            return Normal(obj["mean"], obj["sd"])
+            return Normal(_number(obj["mean"]), _number(obj["sd"]))
         if kind == "t1":
-            return NoncentralT1(obj["ncp"])
+            return NoncentralT1(_number(obj["ncp"]))
         if kind == "mixture":
-            return NormalMixture([(c["w"], c["mean"], c["sd"])
+            return NormalMixture([[_number(c[k]) for k in ("w", "mean", "sd")]
                                   for c in obj["components"]])
         if kind == "empirical":
             if "csv" in obj:
@@ -503,7 +520,7 @@ def from_descriptor(obj: dict, base_dir: str | Path | None = None) -> Distributi
                     path = Path(base_dir) / path
                 return Empirical(load_sample_csv(path), csv_path=str(obj["csv"]))
             if "values" in obj:
-                return Empirical(obj["values"])
+                return Empirical([_number(v) for v in obj["values"]])
             raise DataError("empirical descriptor needs 'csv' or 'values'")
     except KeyError as exc:
         raise DataError(f"model descriptor missing field {exc}") from None

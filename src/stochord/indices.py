@@ -198,8 +198,7 @@ def rho_index(F: Distribution, G: Distribution) -> float:
         return float(np.mean(G.cdf(F.values)))
     knots = _support_knots(F, G)
     xs, w = _gauss_legendre(knots, 4)
-    x = xs.ravel()
-    body = np.sum(G.cdf(x) * F.density(x) * w.ravel())
+    body = np.sum(G.cdf(xs) * F.density(xs) * w)
     (fa, fb), (ga, gb) = (D.cdf(knots[[0, -1]]) for D in (F, G))
     return float(body + fa * ga + (1.0 - fb) * gb)
 
@@ -255,10 +254,16 @@ def _crossings(F: Distribution, G: Distribution
     doubles.  Returns the roots x, their levels t, and gamma: the summed
     length of the t-pieces between crossings on which G - F is
     positive, so it carries the crossings' rounding error, not a grid's.
+    Where G - F rounds to 0 at every level (N(1e-17, 1) against N(0, 1)),
+    the pieces come from F^{-1} - G^{-1} at those levels, bisected in t.
     """
     x, sign = _sign_roots(lambda x: G.cdf(x) - F.cdf(x),
                           F.quantile(_CROSSING_LEVELS))
     t = F.cdf(x)
+    if not (x.size or sign[0]):
+        t, sign = _sign_roots(lambda t: F.quantile(t) - G.quantile(t),
+                              _CROSSING_LEVELS)
+        x = F.quantile(t)
     edges = np.concatenate(([0.0], t, [1.0]))
     return x, t, float(np.diff(edges)[sign > 0].sum())
 
@@ -363,7 +368,7 @@ def epsilon_index(F: Distribution, G: Distribution) -> float | None:
             roots = _sign_roots(gap, knots)[0]
             knots, pieces = _sorted_unique(np.concatenate((knots, roots))), 4
         xs, w = _gauss_legendre(knots, pieces)
-        d = gap(xs.ravel()).reshape(xs.shape)
+        d = gap(xs)
         pos = float(np.sum(np.maximum(d, 0.0) * w))
         tot = float(np.sum(np.abs(d) * w))
         span = float(knots[-1] - knots[0])
@@ -416,10 +421,8 @@ def optimal_copula_eval(pi0: float, x, y):
     pi0 = float(pi0)
     if not (0.0 <= pi0 < 1.0):
         raise DomainError("pi0 must lie in [0, 1)")
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    scalar = xa.ndim == 0 and ya.ndim == 0
-    xa, ya = np.broadcast_arrays(np.atleast_1d(xa), np.atleast_1d(ya))
+    xa, ya = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                 np.asarray(y, dtype=float))
     # NaN fails every comparison
     if xa.size and not (xa.min() >= 0 and xa.max() <= 1
                         and ya.min() >= 0 and ya.max() <= 1):
@@ -429,7 +432,7 @@ def optimal_copula_eval(pi0: float, x, y):
         hi_x & hi_y, xa + ya - 1.0,
         np.where(hi_x & ~hi_y, np.minimum(xa - (1.0 - pi0), ya),
                  np.where(~hi_x & hi_y, np.minimum(xa, ya - pi0), 0.0)))
-    return float(out[()] if out.ndim == 0 else out[0]) if scalar else out
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

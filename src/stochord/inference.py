@@ -194,7 +194,7 @@ def gamma_threshold_test(xs, ys, gamma0: float, alpha: float = 0.05,
     # loaded after the bootstrap has freed its resamples, so that the
     # module's memory does not add to the bootstrap's peak
     from .special import ndtri
-    z = float(ndtri(alpha))
+    z = float(ndtri(np.array([alpha]))[0])
     u, v = est - sd * z, est + sd * z
     degenerate = sd == 0.0
     reject = bool(u < gamma0)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Distribution, Normal, NoncentralT1, NormalMixture
-from .errors import DomainError
+from .errors import DomainError, NumericError
+from .indices import pi_index
 from .inference import (_plugin_replicates, find_crossings,
                         gamma_limit_variance, gamma_threshold_test)
 from .rng import SeedSpec, as_seed, map_blocks
@@ -158,13 +159,19 @@ def asymptotic_law_experiment(F: Distribution, G: Distribution, n: int,
     must differ by at least 0.1% relatively, otherwise the normal limit
     degenerates and a NumericError is raised.  A dominance pair (no
     crossing) gives variance 0 with all mass at small nonnegative
-    values.  Replicate r draws its samples from seed.child(r, 0) and
-    seed.child(r, 1), in blocks on ``threads`` pool threads; the draws do
-    not depend on ``threads``.
+    values.  A pair whose CDFs agree in double precision (no crossing,
+    pi 0 both ways) raises NumericError: its quantiles agree on (0, 1),
+    where the plug-in has no normal limit.  Replicate r draws its
+    samples from seed.child(r, 0) and seed.child(r, 1), in blocks on
+    ``threads`` pool threads; the draws do not depend on ``threads``.
     """
     m = n if m is None else m
     lam = n / (n + m)
     cross, gamma = find_crossings(F, G, lam, min_rel_gap=1e-3)
+    if not cross.t and pi_index(F, G) == 0.0 and pi_index(G, F) == 0.0:
+        raise NumericError("F and G have the same CDF in double precision: "
+                           "the gamma plug-in has no normal limit "
+                           "(assumption A1 violated)")
     ref_var = gamma_limit_variance(cross)
     seed = as_seed(seed)
     scale = np.sqrt(n * m / (n + m))

@@ -11,13 +11,15 @@ T3 series, which takes Patefield and Tandy's double-precision
 coefficients.  They do not import scipy, which costs more to load than
 numpy.
 
-Every function takes scalars or arrays (returning a numpy scalar for a
-scalar) and raises no floating-point warning at any input, infinities
-and NaN included.
+``ndtr``, ``erf``, ``erfc`` and ``ndtri`` take a float64 array and
+return a new array of its shape; ``owens_t`` takes two flat float64
+arrays of one length.  Scalars, and arrays long enough to be cut into
+chunks, are the business of the models' evaluators
+(`distributions._evaluator`).  No function raises a floating-point
+warning at any input, infinities and NaN included.
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -34,30 +36,6 @@ def _polevl(x, coef: tuple):
         ans *= x
         ans += c
     return ans
-
-
-# arrays are processed in chunks of this many values, which keep the
-# temporaries of a polynomial evaluation in cache
-_CHUNK = 8192
-
-
-def _elementwise(fn):
-    """Apply fn, written for 1-D float arrays of one length, to scalars or
-    broadcastable arrays of any shape: scalars give a numpy scalar."""
-    @functools.wraps(fn)
-    def wrapper(*args):
-        arrays = [np.asarray(v, dtype=float) for v in args]
-        if any(v.shape != arrays[0].shape for v in arrays):
-            arrays = np.broadcast_arrays(*arrays)
-        shape = arrays[0].shape
-        flat = [v.ravel() for v in arrays]
-        if flat[0].size <= _CHUNK:
-            return fn(*flat).reshape(shape)[()]
-        out = np.empty(flat[0].size)
-        for i in range(0, out.size, _CHUNK):
-            out[i:i + _CHUNK] = fn(*(v[i:i + _CHUNK] for v in flat))
-        return out.reshape(shape)
-    return wrapper
 
 
 def _split(x: np.ndarray, mask: np.ndarray, on_true, on_false) -> np.ndarray:
@@ -131,13 +109,11 @@ def _erfc_large(x: np.ndarray) -> np.ndarray:
     return np.where(x < 0.0, 2.0 - y, y)
 
 
-@_elementwise
 def erf(x):
     """The error function."""
     return _split(x, np.abs(x) <= 1.0, _erf_small, _erf_large)
 
 
-@_elementwise
 def erfc(x):
     """The complementary error function 1 - erf(x)."""
     return _split(x, np.abs(x) < 1.0, lambda v: 1.0 - _erf_small(v),
@@ -149,7 +125,6 @@ def _ndtr_tail(u: np.ndarray) -> np.ndarray:
     return np.where(u > 0.0, 1.0 - y, y)
 
 
-@_elementwise
 def ndtr(x):
     """The standard normal CDF, relatively accurate in the lower tail
     (while it stays a normal double, down to x = -37.5)."""
@@ -210,7 +185,6 @@ def _ndtri_tail(y: np.ndarray) -> np.ndarray:
     return -(x - np.log(x) / x - term)
 
 
-@_elementwise
 def ndtri(p):
     """The standard normal quantile: -inf at 0, inf at 1 and NaN outside
     [0, 1]."""
@@ -439,8 +413,10 @@ def _reflected_base(h: np.ndarray, ah: np.ndarray) -> np.ndarray:
     return out
 
 
-def _owens_t_flat(h: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """T(|h|, |a|) for flat arrays."""
+def owens_t(h, a):
+    """Owen's T function T(h, a) = 1/(2 pi) int_0^a exp(-h^2 (1 + x^2)/2)
+    / (1 + x^2) dx."""
+    negative = a < 0.0
     h, a = np.abs(h), np.abs(a)
     with np.errstate(over="ignore", invalid="ignore"):
         ah = a * h
@@ -461,12 +437,4 @@ def _owens_t_flat(h: np.ndarray, a: np.ndarray) -> np.ndarray:
         out[ok] = _owens_t_core(hd[ok], ad[ok], ahd[ok])
     if reflect:
         out[high] = _reflected_base(h[high], ah[high]) - out[high]
-    return out
-
-
-@_elementwise
-def owens_t(h, a):
-    """Owen's T function T(h, a) = 1/(2 pi) int_0^a exp(-h^2 (1 + x^2)/2)
-    / (1 + x^2) dx."""
-    out = _owens_t_flat(h, a)
-    return np.where(a < 0.0, -out, out)
+    return np.negative(out, out=out, where=negative)

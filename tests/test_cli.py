@@ -148,6 +148,9 @@ def test_simulate_table_thread_invariance_bytes(tmp_path):
 
 MIXTURE = {"kind": "mixture", "components": [
     {"w": 0.03, "mean": -4.0, "sd": 1.0}, {"w": 0.97, "mean": 1.0, "sd": 1.0}]}
+# the law N(0, 1), written as a mixture of two copies of it
+MIXTURE_OF_TWINS = {"kind": "mixture", "components": [
+    {"w": 0.5, "mean": 0, "sd": 1}, {"w": 0.5, "mean": 0, "sd": 1}]}
 
 # one small configuration per subcommand; {f}/{g} are model files (a
 # normal and a mixture), {x}/{y} sample CSVs
@@ -201,8 +204,17 @@ def _reject_constant(name):
     (b'{"kind": "t1", "ncp": null}', 3, "DataError"),
     (b'{"kind": "mixture", "components": 5}', 3, "DataError"),
     (b'{"kind": "normal", "mean": 0, "sd": -1}', 2, "ParameterError"),
+    (b'{"kind": "normal", "mean": 0, "sd": true}', 3, "DataError"),
+    (b'{"kind": "normal", "mean": 0, "sd": "1.5"}', 3, "DataError"),
+    (b'{"kind": "t1", "ncp": "0.5"}', 3, "DataError"),
+    (b'{"kind": "mixture", "components": [{"w": true, "mean": 0, "sd": 1}]}',
+     3, "DataError"),
+    (b'{"kind": "empirical", "values": [true, "2", 3]}', 3, "DataError"),
+    (b'{"kind": "empirical", "values": [1, "2", 3]}', 3, "DataError"),
 ], ids=["not-utf8", "string-mean", "string-value", "null-ncp",
-        "scalar-components", "negative-sd"])
+        "scalar-components", "negative-sd", "bool-sd", "numeric-string-sd",
+        "numeric-string-ncp", "bool-weight", "bool-value",
+        "numeric-string-value"])
 def test_bad_model_file_exit_code(tmp_path, capsys, content, code, error):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
@@ -248,6 +260,24 @@ def test_limit_law_gamma_files(tmp_path, tmp_path_factory):
     assert got["reference_variance"] == pytest.approx(0.625, abs=1e-12)
     draws = (out / "limit_draws.csv").read_text().splitlines()
     assert len(draws) == 11
+
+
+@pytest.mark.parametrize("g", [MIXTURE_OF_TWINS, {"kind": "normal",
+                                                   "mean": 0, "sd": 1}],
+                         ids=["twin-mixture", "itself"])
+def test_limit_law_gamma_rejects_coinciding_cdfs(tmp_path, capsys, g):
+    # the quantiles agree on all of (0, 1): the nonconsistency regime,
+    # where the plug-in has no normal limit
+    f = write_model(tmp_path, "f.json", {"kind": "normal", "mean": 0,
+                                         "sd": 1})
+    g = write_model(tmp_path, "g.json", g)
+    out = tmp_path / "out"
+    assert main(["limit-law", "--index", "gamma", "--f", f, "--g", g,
+                 "--n", "200", "--reps", "10", "--seed", "4",
+                 "--out", str(out)]) == 4
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "NumericError" and err["exit_code"] == 4
+    assert not (out / "limit_law.json").exists()
 
 
 def test_limit_law_pi_reports_contact_points(tmp_path):

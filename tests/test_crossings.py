@@ -32,6 +32,10 @@ pairs = st.one_of(st.tuples(normals(), mixtures()),
                                             (0.5, -4.0, 2.0)])), 0.5)
 @example((Normal(-1.25, 1.375), NormalMixture([(0.25, 0.0, 1.0),
                                                (0.75, -4.0, 2.0)])), 0.5)
+# G - F rounds to 0 at every level, while F's quantile lies above G's at
+# the median: gamma is 1
+@example((Normal(4.1287350597087435e-263, 1.0),
+          NormalMixture([(0.5, 0.0, 1.0), (0.5, 0.0, 1.0)])), 0.5)
 def test_find_crossings_matches_reference(pair, lam):
     F, G = pair
     # keep the oracle off pairs whose quantile curves all but coincide:

@@ -308,6 +308,26 @@ def test_evaluators_keep_the_argument_shape(name):
 
 
 @pytest.mark.parametrize("name", sorted(SHAPE_MODELS))
+def test_long_arrays_give_each_element_its_value_alone(name):
+    # the evaluators cut arrays of more than 8192 values into chunks:
+    # across the chunk boundaries every value still equals, bit for bit,
+    # that of its element evaluated alone
+    model, methods = SHAPE_MODELS[name]
+    rng = np.random.default_rng(11)
+    size = 3 * 8192 + 5
+    args = {"x": rng.standard_normal(size) * 4.0,
+            "t": rng.uniform(1e-9, 1.0 - 1e-9, size)}
+    picks = np.r_[0:size:97, 8191, 8192, 16383, 16384, 24575, 24576, size - 1]
+    for method in methods:
+        evaluate = getattr(model, method)
+        arg = args["t" if method == "quantile" else "x"]
+        out = evaluate(arg)
+        assert out.shape == (size,), method
+        alone = [evaluate(float(a)) for a in arg[picks]]
+        assert np.array_equal(_bits(out[picks]), _bits(alone)), method
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_MODELS))
 def test_quantile_rejects_bad_levels_anywhere_in_a_matrix(name):
     model = SHAPE_MODELS[name][0]
     for bad in (0.0, 1.0, np.nan):

@@ -46,6 +46,22 @@ def test_gamma_dominated_pair_is_zero():
     assert gamma_index(Normal(3, 1), Normal(0, 1)) == 1.0
 
 
+def test_gamma_of_pairs_whose_cdfs_agree_in_double_precision():
+    # G - F rounds to 0 at every level, but F's quantile lies a shift
+    # above G's wherever the shift does not round away: gamma is 1
+    for shift in (1e-17, 1e-15, 4.1287350597087435e-263):
+        F, G = Normal(shift, 1.0), Normal(0.0, 1.0)
+        assert gamma_index(F, G) == 1.0, shift
+        assert gamma_index(G, F) == 0.0, shift
+    twin = NormalMixture([(0.5, 0.0, 1.0), (0.5, 0.0, 1.0)])
+    assert gamma_index(Normal(1e-17, 1.0), twin) == 1.0
+    # a pair with itself, or with a copy of its law, stays at 0
+    for F, G in ((Normal(0.0, 1.0), Normal(0.0, 1.0)),
+                 (Normal(0.0, 1.0), twin), (twin, Normal(0.0, 1.0)),
+                 (NoncentralT1(0.5), NoncentralT1(0.5))):
+        assert gamma_index(F, G) == 0.0, (F, G)
+
+
 def test_rho_two_normals_closed_form():
     # P(X > Y) = Phi((mF - mG)/sqrt(sF^2 + sG^2)) for independent normals
     for (m1, s1, m2, s2) in [(100, 10, 116, 20), (100, 10, 105, 20),
