@@ -78,7 +78,7 @@ def _load_model(path: str) -> Distribution:
     p = Path(path)
     if p.suffix.lower() == ".json":
         try:
-            desc = json.loads(p.read_text())
+            desc = json.loads(p.read_text(encoding="utf-8-sig"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{p}: invalid JSON ({exc})") from None
         except OSError as exc:

@@ -22,7 +22,7 @@ space everywhere) for the other analytic families.
 The noncentral t with one degree of freedom has closed forms for its CDF
 (Owen's T function, with a cancellation-free variant in the lower tail)
 and its density; its quantile keeps relative accuracy in both tails,
-out to t = 1e-300 and 1 - t = 2^-53.
+out to t = 2^-1022 and 1 - t = 2^-53.
 """
 from __future__ import annotations
 
@@ -204,10 +204,8 @@ class Normal(Distribution):
 # which keeps relative accuracy out to |x| = 1e300.  The density is
 #   f(x) = g(x)/r^2,  g = [exp(-ncp^2/2)
 #          + sqrt(2 pi) ncp (x/r) exp(-a^2/2) Phi(ncp x/r)]/pi,
-# with g bounded, so Newton steps on the quantile use g where f
-# underflows.  Below the median F(x) <= c/|x| for every x < 0, with
-# equality up to a factor 1 + O(1/x^2), where
-# c = 2 phi(0) (phi(ncp) - ncp Phi(-ncp)).
+# with g = dF/dphi bounded in the angle phi = atan(x) + pi/2, where F
+# falls linearly as phi -> 0: so the quantile is solved in phi.
 _DBL_MAX = float(np.finfo(float).max)
 _DBL_TINY = float(np.finfo(float).tiny)
 _T1_NEWTON_CAP = 100
@@ -240,6 +238,13 @@ def _t1_scaled_density(x: np.ndarray, ncp: float) -> np.ndarray:
             * np.exp(-0.5 * a * a) * ndtr(ncp * u)) / math.pi
 
 
+def _t1_finite(x: np.ndarray) -> np.ndarray:
+    """x, or NumericError where the t1 quantile overflowed."""
+    if np.isinf(x).any():
+        raise NumericError("t1 quantile lies beyond the double range")
+    return x
+
+
 class NoncentralT1(Distribution):
     """Noncentral t with 1 degree of freedom and noncentrality ``ncp``.
 
@@ -247,20 +252,21 @@ class NoncentralT1(Distribution):
     the comment above `_t1_cdf`).  Against a quadrature reference, for
     |ncp| <= 3, the CDF is within 1e-12 relative wherever it is below 1/2
     and 2e-15 absolute everywhere, and the density within 1e-11 relative.
-    For ncp above about 4 the lower tail loses relative accuracy, because
-    the terms of both forms cancel and Owen's T loses relative accuracy at
-    small slopes; the absolute error stays at machine precision.
+    For ncp above about 4 the lower tail loses relative accuracy where the
+    terms of both forms cancel, most near x = -1, but not absolute accuracy.
 
-    The quantile inverts the CDF with a bracketing table plus safeguarded
-    Newton refinement, iterated until the step or the bracket has
-    converged to a few ulps.  Above the median it solves
-    F(-x; -ncp) = 1 - t instead, the survival function at the exact
-    double difference 1 - t, so both tails keep relative accuracy: the
-    quantile follows -c/t down to t = 1e-300 and c'/(1 - t), with
-    c' = 2 phi(0) (phi(ncp) + ncp Phi(ncp)), up to 1 - t = 2^-53.  In the
-    central range the round trip |F(Q(t)) - t| stays below 1e-10.  A
-    quantile beyond the double range, or one whose iteration does not
-    converge, raises `NumericError`.
+    The quantile solves F = t in the angle phi = atan(x) + pi/2, where
+    dF/dphi = f (1 + x^2) is bounded: from a uniform table of phi by
+    safeguarded Newton steps, the last one taken in x, until the step or
+    the bracket is a few ulps.  Above the median it solves
+    F(-x; -ncp) = 1 - t, the survival function at the exact double 1 - t,
+    so both tails keep relative accuracy: the quantile follows -c/t,
+    c = 2 phi(0) (phi(ncp) - ncp Phi(-ncp)), down to t = 2^-1022 and
+    c'/(1 - t), c' = 2 phi(0) (phi(ncp) + ncp Phi(ncp)), up to
+    1 - t = 2^-53.  The central round trip |F(Q(t)) - t| stays below
+    1e-10.  A quantile beyond the double range, or one whose iteration
+    does not converge (ncp above about 1e4, deep in the lower tail),
+    raises `NumericError`.
     """
 
     kind = "t1"
@@ -282,67 +288,60 @@ class NoncentralT1(Distribution):
         return _t1_scaled_density(x, self.ncp) * inv_r * inv_r
 
     def _quantile_table(self) -> tuple[np.ndarray, np.ndarray]:
-        # Lazily built bracketing table of F: dense linear core, log-spaced
-        # tails out to 1e13 (the Cauchy-like tails decay as 1/x), reduced
-        # to strictly increasing CDF values.
+        # Lazily built bracketing table of F at uniform angles phi in
+        # [0, pi] (x = -cot phi), reduced to strictly increasing values.
         if self._table is None:
-            core = np.linspace(-24.0, 24.0, 1537)
-            tail = np.exp(np.linspace(math.log(24.0), math.log(1e13), 385))
-            xs = _sorted_unique(np.concatenate((-tail[1:], core, tail[1:])))
-            fs, first = np.unique(np.maximum.accumulate(self.cdf(xs)),
-                                  return_index=True)
-            self._table = (xs[first], fs)
+            phis = np.linspace(0.0, math.pi, 2049)
+            with np.errstate(divide="ignore"):      # phi = 0: x = -inf
+                fs = np.maximum.accumulate(self.cdf(-1.0 / np.tan(phis)))
+            fs, first = np.unique(fs, return_index=True)
+            self._table = (phis[first], fs)
         return self._table
 
     def _solve_lower(self, p: np.ndarray) -> np.ndarray:
-        """Solve F(x) = p for p <= 1/2."""
-        xt, ft = self._quantile_table()
-        j = np.clip(np.searchsorted(ft, p, side="left"), 1, ft.size - 1)
-        lo, hi = xt[j - 1], xt[j]
-        x = lo + (hi - lo) * (p - ft[j - 1]) / (ft[j] - ft[j - 1])
-        below = p < ft[0]
-        if below.any():
-            # F(x) <= c/|x| for x < 0: -c/p bounds the root from below and
-            # equals it to O(1/x^2), that is exactly beyond the table
-            from .special import ndtr
-            ncp = self.ncp
-            c = 2.0 * _phi(0.0) * (_phi(ncp)
-                                   - ncp * ndtr(np.array([-ncp]))[0])
-            if p[below].min() * _DBL_MAX <= c:
-                raise NumericError("t1 quantile lies beyond the double range")
-            x[below] = lo[below] = -c / p[below]
-            hi[below] = xt[0]
+        """Solve F(x) = p for p <= 1/2, in phi (see `_quantile_table`)."""
+        phit, ft = self._quantile_table()
+        j = np.searchsorted(ft, p, side="left")     # >= 1: ft[0] = F(-inf)
+        if j.max() == ft.size:      # ncp above 5e15: median beyond -cot(pi)
+            raise NumericError("t1 quantile lies beyond the angle's range")
+        lo, hi = phit[j - 1], phit[j]
+        phi = lo + (p - ft[j - 1]) / (ft[j] - ft[j - 1]) * (hi - lo)
+        x = np.empty_like(p)
         active = np.arange(p.size)
         for _ in range(_T1_NEWTON_CAP):
-            xa, pa = x[active], p[active]
+            ua, pa = phi[active], p[active]
+            with np.errstate(divide="ignore", over="ignore"):
+                xa = _t1_finite(-1.0 / np.tan(ua))
             fx = self.cdf(xa)
             over = fx >= pa
-            la = np.where(over, lo[active], xa)
-            ha = np.where(over, xa, hi[active])
-            xn = xa - self._newton_step(xa, fx - pa)
-            scale = _T1_XTOL * np.maximum(np.abs(xa), 1.0)
-            small = np.abs(xn - xa) <= scale
-            xn = np.where(small | ((xn > la) & (xn < ha)), xn, 0.5 * (la + ha))
+            la = np.where(over, lo[active], ua)
+            ha = np.where(over, ua, hi[active])
+            step = (fx - pa) / self._slope(xa)
+            scale = _T1_XTOL * ua
+            small = np.abs(step) <= scale
+            un = ua - step
+            un = np.where(small | ((un > la) & (un < ha)), un, 0.5 * (la + ha))
             done = small | (ha - la <= scale)
-            x[active], lo[active], hi[active] = xn, la, ha
+            # last step in x, dx = (1 + x^2) dphi: -cot phi is coarse near pi
+            dphi = np.where(small, -step, un - ua)[done]
+            xd, r = xa[done], np.hypot(1.0, xa[done])
+            with np.errstate(over="ignore"):
+                x[active[done]] = xd + dphi * r * r
+            phi[active], lo[active], hi[active] = un, la, ha
             active = active[~done]
             if not active.size:
-                return x
+                return _t1_finite(x)
         raise NumericError("t1 quantile Newton iteration did not converge")
 
-    def _newton_step(self, x: np.ndarray, residual: np.ndarray) -> np.ndarray:
-        """residual / f(x), finite also where the density underflows."""
-        f = self.density(x)
+    def _slope(self, x: np.ndarray) -> np.ndarray:
+        """dF/dphi = f(x) (1 + x^2), also where f underflows; at least
+        2^-1022, so that a Newton step stays finite."""
+        f, r = self.density(x), np.hypot(1.0, x)
+        g = f * r * r       # f r <= g/r: no overflow
         deep = f < _DBL_TINY
-        step = residual / np.where(deep, 1.0, f)
         if deep.any():
-            # |x| beyond about 1e154: f = g/r^2 with g bounded, so
-            # multiplying by r twice keeps every factor finite
-            xd = x[deep]
-            r = np.hypot(1.0, xd)
-            g = np.maximum(_t1_scaled_density(xd, self.ncp), 5e-324)
-            step[deep] = residual[deep] * r / g * r
-        return step
+            g[deep] = _t1_scaled_density(x[deep], self.ncp)
+        return np.maximum(g, _DBL_TINY)
 
     @_evaluator(probability=True)
     def quantile(self, t):

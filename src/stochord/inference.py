@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import Distribution, Empirical
 from .errors import DomainError, NumericError
 from .indices import GridSpec, _crossings, _gap_peaks, _sorted_index
 from .rng import SeedSpec, as_seed, block_rows, map_blocks
@@ -264,12 +264,14 @@ def find_crossings(F: Distribution, G: Distribution, lam: float,
     plus the measure of {t : F^{-1}(t) > G^{-1}(t)}, the value of
     ``gamma_index`` for the pair.  ``min_rel_gap`` > 0 raises
     NumericError when any crossing has |f - g| below that relative size.
+    The crossing law needs two continuous models: an `Empirical` one
+    raises DomainError.
     """
+    if isinstance(F, Empirical) or isinstance(G, Empirical):
+        raise DomainError("crossings need two continuous models, "
+                          "not an empirical distribution")
     x, t, gamma = _crossings(F, G)
-    # a model without a density (empirical) still passes when nothing
-    # crosses
-    f = F.density(x) if x.size else x
-    g = G.density(x) if x.size else x
+    f, g = F.density(x), G.density(x)
     if min_rel_gap > 0.0:
         close = np.abs(f - g) < min_rel_gap * np.maximum(f, g)
         if close.any():

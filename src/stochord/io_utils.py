@@ -61,7 +61,7 @@ def load_sample_csv(path: str | os.PathLike,
 
 
 def _read_column(path: Path, header: bool) -> np.ndarray:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         if header and next(csv.reader(fh), None) is None:
             raise DataError(f"{path}: file is empty")
         values = _parse_column(fh)

@@ -8,7 +8,11 @@ that ``scipy.special.owens_t`` runs.  They do scipy's arithmetic, so
 they give its values up to the last bits of ``np.exp``, ``np.log`` and
 ``np.arctan`` (which may differ from the C library's), and of Owen's
 T3 series, which takes Patefield and Tandy's double-precision
-coefficients.  They do not import scipy, which costs more to load than
+coefficients.  Owen's T2 series departs from scipy on purpose: it starts
+from Phi(ah) - 1/2 as erf(ah/sqrt 2)/2, as the T3 series does, where
+scipy's ``ndtr(ah) - 0.5`` keeps no digits at small slopes (scipy's
+T(6, 1e-20) is 40x too small), and it takes exp(-h^2/2) without
+rounding h^2.  They do not import scipy, which costs more to load than
 numpy.
 
 ``ndtr``, ``erf``, ``erfc`` and ``ndtri`` take a float64 array and
@@ -282,6 +286,15 @@ def _expm1(x: np.ndarray) -> np.ndarray:
                   lambda v: np.exp(v) - 1.0)
 
 
+def _exp_half_square(h: np.ndarray) -> np.ndarray:
+    """exp(-h^2/2) without the rounding of h^2, which costs |h|^2/2 ulps
+    (Cephes expx2): h = m + f with m a multiple of 1/128, so m^2 is exact
+    and 2 m f + f^2 is small."""
+    m = np.floor(h * 128.0 + 0.5) / 128.0
+    f = h - m
+    return np.exp(-0.5 * m * m) * np.exp(-(m + 0.5 * f) * f)
+
+
 def _mask(k: int, m: np.ndarray, m_min: int):
     """1 where a series truncated at order m takes its term k, else 0."""
     return 1.0 if k <= m_min else (k <= m)
@@ -311,13 +324,13 @@ def _t2(h, a, ah, m):
     naa = -a * a
     y = 1.0 / hs
     vi = a * np.exp(-0.5 * ah * ah) / _SQRT_2PI_D
-    z = (ndtr(ah) - 0.5) / h        # as scipy forms it
+    z = _half_erf(ah) / h
     val = z
     for k in range(1, m.max() + 1):
         z = y * (vi - (2 * k - 1) * z)
         vi *= naa
         val = val + z * _mask(k, m, m_min)
-    return val * (np.exp(-0.5 * hs) / _SQRT_2PI_D)
+    return val * (_exp_half_square(h) / _SQRT_2PI_D)
 
 
 def _t3(h, a, ah, m):

@@ -72,3 +72,31 @@ def test_bridge_lab_reaches_every_traced_bridge_layer(tmp_path, monkeypatch):
     assert on_pool["distributions.sample"] == 4
     assert on_pool["inference.gamma_plugin"] == 2
     assert all(s.end > s.start for s in recorder.spans)
+
+
+def test_sample_against_t1_reaches_every_traced_t1_layer(tmp_path):
+    # the sample-against-t1 indices reach the density only through the
+    # Newton steps of the t1 quantile; a solver that stopped calling the
+    # public evaluators would leave their self time at zero
+    import json
+
+    import numpy as np
+
+    from stochord.cli import main
+
+    sample = tmp_path / "x.csv"
+    np.savetxt(sample, np.random.default_rng(3).normal(1.0, 2.0, 300),
+               fmt="%.17g")
+    model = tmp_path / "t1.json"
+    model.write_text(json.dumps({"kind": "t1", "ncp": 0.5}))
+    spans = _spans_module()
+    recorder = spans.Recorder()
+    restore = spans.install(recorder)
+    try:
+        assert main(["indices", "--f", str(sample), "--g", str(model),
+                     "--out", str(tmp_path / "out")]) == 0
+    finally:
+        restore()
+    calls = Counter(s.name for s in recorder.spans)
+    for layer in ("quantile", "cdf", "density"):
+        assert calls[f"distributions.NoncentralT1.{layer}"] > 0, layer

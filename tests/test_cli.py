@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,6 +281,23 @@ def test_limit_law_gamma_rejects_coinciding_cdfs(tmp_path, capsys, g):
     assert not (out / "limit_law.json").exists()
 
 
+@pytest.mark.parametrize("sample_as", ["f", "g"])
+def test_limit_law_gamma_rejects_a_sample(tmp_path, capsys, sample_as):
+    sample = tmp_path / "one.csv"
+    sample.write_text("1.0\n")
+    model = write_model(tmp_path, "normal.json", {"kind": "normal",
+                                                  "mean": 0, "sd": 1})
+    f, g = (sample, model) if sample_as == "f" else (model, sample)
+    out = tmp_path / "out"
+    assert main(["limit-law", "--index", "gamma", "--f", str(f),
+                 "--g", str(g), "--n", "200", "--reps", "10",
+                 "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "DomainError" and err["exit_code"] == 2
+    assert "two continuous models" in err["message"]
+    assert not (out / "limit_law.json").exists()
+
+
 def test_limit_law_pi_reports_contact_points(tmp_path):
     f = write_model(tmp_path, "f.json", {"kind": "normal", "mean": 0,
                                          "sd": 1})
@@ -350,6 +368,33 @@ def test_exit_code_data_errors(tmp_path, sample_pair, capsys):
                  "--out", str(tmp_path)]) == 3
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert "line 3" in err["message"] or ":3" in err["message"]
+
+
+def test_inputs_may_start_with_a_byte_order_mark(tmp_path, sample_pair,
+                                                capsys):
+    # spreadsheets' "CSV UTF-8" exports, and some editors' JSON, start
+    # with one
+    x, _ = sample_pair
+    model = {"kind": "normal", "mean": 0.5, "sd": 1.5}
+    plain = write_model(tmp_path, "g.json", model)
+    marked = tmp_path / "g_bom.json"
+    marked.write_text("\ufeff" + json.dumps(model), encoding="utf-8")
+    marked_x = tmp_path / "x_bom.csv"
+    marked_x.write_text("\ufeff" + Path(x).read_text(), encoding="utf-8")
+    reports = []
+    for f, g in ((x, plain), (marked_x, marked)):
+        out = tmp_path / f"out{len(reports)}"
+        assert main(["indices", "--f", str(f), "--g", str(g),
+                     "--out", str(out)]) == 0
+        got = json.loads((out / "indices.json").read_text())
+        reports.append([got[k] for k in ("gamma", "rho", "pi", "epsilon")])
+    assert reports[0] == reports[1]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\ufeff1.0\n2.0\nabc\n", encoding="utf-8")
+    assert main(["galton", "--x", x, "--y", str(bad),
+                 "--out", str(tmp_path)]) == 3
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["message"].endswith("bad.csv:3: cannot parse 'abc' as a float")
 
 
 @pytest.mark.parametrize("argv, name", [

@@ -219,6 +219,16 @@ def test_find_crossings_shift_pair_has_none():
     assert gamma == 0.0
 
 
+@pytest.mark.parametrize("pair", [(Empirical([1.0]), Normal(0, 1)),
+                                  (Normal(0, 1), Empirical([1.0]))],
+                         ids=["sample-as-F", "sample-as-G"])
+def test_find_crossings_rejects_a_sample(pair):
+    # the pair is not ordered (its gamma is 0.84), yet G - F has no sign
+    # change at F's quantile levels when F is the sample
+    with pytest.raises(DomainError, match="two continuous models"):
+        find_crossings(*pair, lam=0.5)
+
+
 def test_find_crossings_rejects_tangency():
     # nearly equal scales make the density gap at the crossing vanish
     with pytest.raises(NumericError):

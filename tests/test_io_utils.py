@@ -23,7 +23,7 @@ def reference_load(path, header=False):
     """The row-by-row parser of the first column, one cell at a time
     through ``float``."""
     values = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         start_line = 1
         if header:
@@ -191,6 +191,23 @@ def test_bad_cell_reports_its_line(tmp_path):
     path = _write(tmp_path, "1.5\r\n2.5\r\ninf\r\n")
     with pytest.raises(DataError, match=r"sample\.csv:3: non-finite value 'inf'"):
         load_sample_csv(path)
+
+
+def test_leading_byte_order_mark_is_skipped(tmp_path):
+    # spreadsheets' "CSV UTF-8" exports start with one
+    path = _write(tmp_path, "\ufeff1.5\n2.5\n")
+    assert load_sample_csv(path).tolist() == [1.5, 2.5]
+    path = _write(tmp_path, "\ufeffvalue\n1.5\n")
+    assert load_sample_csv(path, header=True).tolist() == [1.5]
+    # the row loop rereads the file from its start: the mark is skipped
+    # again, and the lines count from the first
+    path = _write(tmp_path, "\ufeffabc\n2.5\n")
+    with pytest.raises(DataError, match=r"sample\.csv:1: cannot parse 'abc'"):
+        load_sample_csv(path)
+    path = _write(tmp_path, "\ufeffvalue\n1.5\n\n-inf\n")
+    with pytest.raises(DataError,
+                       match=r"sample\.csv:4: non-finite value '-inf'"):
+        load_sample_csv(path, header=True)
 
 
 def test_quoted_cells_and_extra_columns(tmp_path):

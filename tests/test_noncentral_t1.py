@@ -8,6 +8,7 @@ corrections are O(1/x^2).
 """
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +62,13 @@ def upper_tail_const(ncp):
     return 2.0 * _phi(0.0) * (_phi(ncp) + ncp * ndtr(ncp))
 
 
+def exact_lower_tail_const(ncp):
+    """c at 30 digits: phi(ncp) - ncp Phi(-ncp) cancels for large ncp."""
+    with mp.workdps(30):
+        ncp = mp.mpf(ncp)
+        return float(2 * mp.npdf(0) * (mp.npdf(ncp) - ncp * mp.ncdf(-ncp)))
+
+
 def rel_err(got, want):
     return abs(got - want) / abs(want)
 
@@ -69,7 +77,7 @@ ncps = st.floats(-3.0, 3.0)
 near_xs = st.floats(-1e12, 1e12)
 far_xs = st.floats(1e12, 1e300)
 central_ts = st.floats(1e-10, 1.0 - 1e-10)
-lower_ts = st.floats(1e-300, 1e-10)
+lower_ts = st.floats(2.2250738585072014e-308, 1e-10)
 upper_gaps = st.floats(1.1e-16, 1e-10)
 PROPERTY = settings(max_examples=300, deadline=None)
 
@@ -100,8 +108,34 @@ def test_t1_quantile_negative_ncp_tail_regression():
 
 
 def test_t1_quantile_beyond_double_range_raises():
-    with pytest.raises(NumericError):
-        NoncentralT1(0.5).quantile(1e-310)
+    for t in (1e-310, 5e-324):
+        with pytest.raises(NumericError, match="beyond the double range"):
+            NoncentralT1(0.5).quantile(t)
+
+
+# Far lower tails at |ncp| beyond 3, where F(x) = c/|x| to O(1/x^2).
+# Owen's T at small slopes (its T2 cells) used to lose every digit
+# there: F read 0 at x = -1e100 for ncp 5 and 7, and the quantile
+# -1.16e77 at ncp 5 and t = 1e-100, or raised.
+
+@pytest.mark.parametrize("ncp, x", [(5.0, 1e10), (5.0, 1e100), (7.0, 1e100),
+                                    (-5.0, 1e300), (-6.0, 1e300)])
+def test_t1_cdf_far_lower_tail_large_ncp(ncp, x):
+    got = NoncentralT1(ncp).cdf(-x)
+    assert rel_err(got, exact_lower_tail_const(ncp) / x) <= 1e-12
+
+
+@pytest.mark.parametrize("ncp, t, tol", [(5.0, 1e-100, 1e-12),
+                                         (7.0, 1e-100, 1e-12),
+                                         (10.0, 1e-100, 1e-12),
+                                         (20.0, 1e-200, 1e-10)])
+def test_t1_quantile_far_lower_tail_large_ncp(ncp, t, tol):
+    # at ncp 20 the two terms of the tail form of F cancel by about
+    # ncp^2, and F is off by 1.1e-11 relative; the quantile solves it
+    d = NoncentralT1(ncp)
+    q = d.quantile(t)
+    assert rel_err(q, -exact_lower_tail_const(ncp) / t) <= tol
+    assert rel_err(d.cdf(q), t) <= 1e-12
 
 
 def test_t1_cdf_density_at_infinity():
@@ -173,6 +207,6 @@ def test_t1_quantile_nondecreasing(ncp, ts, t0):
     # of 16 adjacent doubles the worst swaps were 269 ulps of max(|q|, 1)
     # there (ncp = 3, t = 2.9e-4) and at most 7 elsewhere, the t = 1/2 switch
     # between the two solves included.
-    ulps = np.where(qs[:-1] * ncp < 0, 1024, 16)
+    ulps = np.where(np.sign(qs[:-1]) * ncp < 0, 1024, 16)
     slack = ulps * np.spacing(np.maximum(np.abs(qs[:-1]), 1.0))
     assert np.all(np.diff(qs) >= -slack)

@@ -8,7 +8,8 @@ be off by no more than scipy is, plus a few ulps: ndtr, erf, erfc and
 ndtri do scipy's Cephes arithmetic and differ from it only in the last
 bits of np.exp and np.log; Owen's T does the same except in the T3
 region, whose series has Patefield and Tandy's double-precision
-coefficients.
+coefficients, and in the T2 region, whose first term and factor
+exp(-h^2/2) keep digits that scipy's lose.
 """
 import math
 import warnings
@@ -17,7 +18,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sc
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stochord import special
@@ -148,6 +149,27 @@ def test_owens_t_matches_mpmath(h, a, negative):
     ours, theirs = owens_t_batch_errors(h, -a if negative else a)
     assert ours <= theirs * (1.0 + OWENS_T_SHARE) + OWENS_T_ULPS, \
         (h, a, ours, theirs)
+
+
+@st.composite
+def small_slopes(draw):
+    """(h, a) with h in [4.8, 37.4] and a from 1e-300 to 0.1, where
+    T(h, a) ~ a exp(-h^2/2)/(2 pi) stays in the normal range."""
+    h = draw(st.floats(4.8, 37.4))
+    low = max(-300.0, -306.0 + h * h / (2.0 * math.log(10.0)))
+    return h, 10.0 ** draw(st.floats(low, -1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_slopes())
+def test_owens_t_keeps_relative_accuracy_at_small_slopes(case):
+    # scipy's T2 series starts from (Phi(ah) - 1/2)/h, which for small
+    # ah keeps none of its digits (T(6, 1e-20) came out 40x too small);
+    # the port takes Phi(ah) - 1/2 as erf(ah/sqrt 2)/2
+    h, a = case
+    exact, _ = owens_t_exact(h, a)
+    assume(exact >= np.finfo(float).tiny)
+    assert float(abs(alone("owens_t", h, a) - exact) / exact) <= 1e-13
 
 
 EXTREMES = [np.inf, -np.inf, 1e308, -1e308, 0.0, -0.0, 5e-324, -5e-324,
