@@ -238,13 +238,6 @@ def _t1_scaled_density(x: np.ndarray, ncp: float) -> np.ndarray:
             * np.exp(-0.5 * a * a) * ndtr(ncp * u)) / math.pi
 
 
-def _t1_finite(x: np.ndarray) -> np.ndarray:
-    """x, or NumericError where the t1 quantile overflowed."""
-    if np.isinf(x).any():
-        raise NumericError("t1 quantile lies beyond the double range")
-    return x
-
-
 class NoncentralT1(Distribution):
     """Noncentral t with 1 degree of freedom and noncentrality ``ncp``.
 
@@ -255,18 +248,16 @@ class NoncentralT1(Distribution):
     For ncp above about 4 the lower tail loses relative accuracy where the
     terms of both forms cancel, most near x = -1, but not absolute accuracy.
 
-    The quantile solves F = t in the angle phi = atan(x) + pi/2, where
-    dF/dphi = f (1 + x^2) is bounded: from a uniform table of phi by
-    safeguarded Newton steps, the last one taken in x, until the step or
-    the bracket is a few ulps.  Above the median it solves
-    F(-x; -ncp) = 1 - t, the survival function at the exact double 1 - t,
-    so both tails keep relative accuracy: the quantile follows -c/t,
-    c = 2 phi(0) (phi(ncp) - ncp Phi(-ncp)), down to t = 2^-1022 and
-    c'/(1 - t), c' = 2 phi(0) (phi(ncp) + ncp Phi(ncp)), up to
-    1 - t = 2^-53.  The central round trip |F(Q(t)) - t| stays below
-    1e-10.  A quantile beyond the double range, or one whose iteration
-    does not converge (ncp above about 1e4, deep in the lower tail),
-    raises `NumericError`.
+    The quantile takes safeguarded Newton steps on log F in the angle
+    phi = atan(x) + pi/2, where dF/dphi = f (1 + x^2) is bounded, from a
+    uniform table of phi until x is solved to a few ulps.  Above the
+    median it solves F(-x; -ncp) = 1 - t, exact at the double 1 - t, so
+    the quantile follows -c/t, c = 2 phi(0) (phi(ncp) - ncp Phi(-ncp)),
+    down to t = 2^-1022 and c'/(1 - t), c' = 2 phi(0) (phi(ncp) + ncp
+    Phi(ncp)), up to 1 - t = 2^-53.  The central round trip |F(Q(t)) - t|
+    stays below 1e-10, also at ncp 1e15.  A quantile beyond the double
+    range, ncp above 5e15 (median beyond -cot(pi)) or an iteration that
+    does not converge raises `NumericError`.
     """
 
     kind = "t1"
@@ -299,38 +290,44 @@ class NoncentralT1(Distribution):
         return self._table
 
     def _solve_lower(self, p: np.ndarray) -> np.ndarray:
-        """Solve F(x) = p for p <= 1/2, in phi (see `_quantile_table`)."""
+        """Solve F(x) = p for p <= 1/2 from the cell of `_quantile_table`
+        bracketing p, in x: phi resolves x only to (1 + x^2) 4.4e-16."""
         phit, ft = self._quantile_table()
         j = np.searchsorted(ft, p, side="left")     # >= 1: ft[0] = F(-inf)
         if j.max() == ft.size:      # ncp above 5e15: median beyond -cot(pi)
             raise NumericError("t1 quantile lies beyond the angle's range")
-        lo, hi = phit[j - 1], phit[j]
-        phi = lo + (p - ft[j - 1]) / (ft[j] - ft[j - 1]) * (hi - lo)
-        x = np.empty_like(p)
+        a, b = phit[j - 1], phit[j]
+        phi = a + (p - ft[j - 1]) / (ft[j] - ft[j - 1]) * (b - a)
+        with np.errstate(divide="ignore", over="ignore"):   # a = 0: x = -inf
+            lo, x, hi = -1.0 / np.tan(a), -1.0 / np.tan(phi), -1.0 / np.tan(b)
         active = np.arange(p.size)
         for _ in range(_T1_NEWTON_CAP):
-            ua, pa = phi[active], p[active]
-            with np.errstate(divide="ignore", over="ignore"):
-                xa = _t1_finite(-1.0 / np.tan(ua))
+            xa, pa = x[active], p[active]
+            if np.isinf(xa).any():
+                raise NumericError("t1 quantile lies beyond the double range")
             fx = self.cdf(xa)
             over = fx >= pa
-            la = np.where(over, lo[active], ua)
-            ha = np.where(over, ua, hi[active])
-            step = (fx - pa) / self._slope(xa)
-            scale = _T1_XTOL * ua
-            small = np.abs(step) <= scale
-            un = ua - step
-            un = np.where(small | ((un > la) & (un < ha)), un, 0.5 * (la + ha))
-            done = small | (ha - la <= scale)
-            # last step in x, dx = (1 + x^2) dphi: -cot phi is coarse near pi
-            dphi = np.where(small, -step, un - ua)[done]
-            xd, r = xa[done], np.hypot(1.0, xa[done])
-            with np.errstate(over="ignore"):
-                x[active[done]] = xd + dphi * r * r
-            phi[active], lo[active], hi[active] = un, la, ha
+            la = np.where(over, lo[active], xa)
+            ha = np.where(over, xa, hi[active])
+            # Newton step dphi on log F (near quadratic down the Gaussian
+            # tail where Newton on F creeps), taken as tan(atan x - dphi)
+            scale = _T1_XTOL * np.maximum(np.abs(xa), 1.0)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                tau = np.tan(np.log1p((fx - pa) / pa) * fx / self._slope(xa))
+                xn = (xa - tau) / (1.0 + xa * tau)
+                small = np.abs(xn - xa) <= scale
+                done = small | (ha - la <= scale)
+            out = ~(small | ((xn > la) & (xn < ha)))
+            if out.any():   # bisect in phi, or in x where phi is too coarse
+                lb, hb = la[out], ha[out]
+                with np.errstate(divide="ignore", over="ignore"):
+                    m = -1.0 / np.tan(0.5 * np.arctan2(1.0, -lb)
+                                      + 0.5 * np.arctan2(1.0, -hb))
+                xn[out] = np.where((m > lb) & (m < hb), m, 0.5 * lb + 0.5 * hb)
+            x[active], lo[active], hi[active] = xn, la, ha
             active = active[~done]
             if not active.size:
-                return _t1_finite(x)
+                return x
         raise NumericError("t1 quantile Newton iteration did not converge")
 
     def _slope(self, x: np.ndarray) -> np.ndarray:

@@ -138,6 +138,38 @@ def test_t1_quantile_far_lower_tail_large_ncp(ncp, t, tol):
     assert rel_err(d.cdf(q), t) <= 1e-12
 
 
+def exact_cdf_positive(x, ncp):
+    """F(x) at 30 digits for x > 0 and large ncp, as P(|Z'| >= (Z + ncp)/x)
+    integrated over Z (Phi(-ncp) is below 1e-40 here).  The integrand is
+    scaled to O(1), since mp.quad's tolerance is absolute."""
+    with mp.workdps(30):
+        x, ncp = mp.mpf(x), mp.mpf(ncp)
+
+        def survival(z):
+            return mp.erfc((z + ncp) / (x * mp.sqrt(2)))
+
+        s0 = survival(0)
+        edges = [mp.mpf(k) for k in (-40, -20, -8, -3, 0, 3, 8, 20, 40)]
+        return float(s0 * mp.quad(lambda z: mp.npdf(z) * survival(z) / s0,
+                                  edges + [mp.inf]))
+
+
+# Large ncp puts the whole law in the last cells of the angle table,
+# near phi = pi, where the angle resolves x only to (1 + x^2) 4.4e-16.
+# Central quantiles read 0.44 off in F at ncp 1e15 when the solve
+# returned such an x, and deep lower-tail levels at ncp 1e4 to 1e6
+# raised when Newton crept down the Gaussian tail in 1/x.
+
+@pytest.mark.parametrize("ncp, t", [(1e4, 1e-300), (1e4, 1e-200),
+                                    (1e4, 1e-100), (1e6, 1e-300),
+                                    (1e12, 1e-300), (1e12, 0.1),
+                                    (1e12, 0.5), (1e12, 0.9), (1e15, 0.5)])
+def test_t1_quantile_large_ncp(ncp, t):
+    # at t = 1e-300, F moves by about 1400 times x's relative error
+    q = NoncentralT1(ncp).quantile(t)
+    assert rel_err(exact_cdf_positive(q, ncp), t) <= 1e-12
+
+
 def test_t1_cdf_density_at_infinity():
     d = NoncentralT1(0.5)
     assert np.array_equal(d.cdf(np.array([-np.inf, np.inf])), [0.0, 1.0])
