@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Subcommands: indices, galton, test-gamma, simulate-table, bridge-lab,
-limit-law.  Every run writes JSON (and CSV where tabular) reports that
-embed the master seed, package version, and a hash of the resolved
-configuration; re-running the same configuration reproduces the report
-files byte for byte.  Wall-clock timing goes to a separate
-run_info.json, which is the only non-reproducible output.
+limit-law.  Each handler returns its reports by file name, and
+`run_command` writes them only once all computing is done, so a command
+that fails writes no report.  Every JSON report embeds the provenance:
+the master seed (``--seed``, default 0), package version, and a hash of
+the resolved configuration.  Re-running a configuration reproduces the
+reports byte for byte; wall-clock timing goes to run_info.json, written
+last, the only non-reproducible output.
 
 ``simulate-table``, ``bridge-lab`` and ``limit-law`` take ``--threads``
 (default: the core count) for their replicate loops, which run in blocks
@@ -58,20 +60,6 @@ class CommandConfig:
                 "options": options}
 
 
-def _resolve_seed(value: int | None) -> int:
-    """The master seed: ``--seed``, else STOCHORD_SEED, else 0; a
-    nonnegative integer."""
-    if value is None:
-        env = os.environ.get("STOCHORD_SEED", "0")
-        try:
-            value = int(env)
-        except ValueError:
-            raise DomainError(f"STOCHORD_SEED={env!r} is not an integer") from None
-    if value < 0:
-        raise DomainError(f"the seed must be nonnegative, got {value}")
-    return value
-
-
 def _load_model(path: str) -> Distribution:
     """Model from a JSON descriptor file or a one-column sample CSV."""
     from .distributions import from_descriptor
@@ -87,37 +75,44 @@ def _load_model(path: str) -> Distribution:
     return from_descriptor({"kind": "empirical", "csv": str(p)})
 
 
-def emit_quantile_table(F: Distribution, G: Distribution, grid: GridSpec,
-                        path) -> None:
-    """CSV with one row per grid point: t, both quantiles, and the
+def emit_quantile_table(F: Distribution, G: Distribution,
+                        grid: GridSpec) -> tuple[list[str], list[list]]:
+    """CSV header and rows, one per grid point: t, both quantiles, and the
     indicator of F's quantile strictly exceeding G's.  The grid has
     t = 0 and t = 1 only at its ends: t = 0 maps to -inf (the generalized
     inverse of the empty constraint), t = 1 to the top of the support."""
     import numpy as np
 
     from .distributions import Empirical
-    from .io_utils import atomic_write_csv
     m = grid.points
     ts = np.arange(m) / (m - 1)
     qf, qg = (np.concatenate((
         [-np.inf], D.quantile(ts[1:-1]),
         [D.values[-1] if isinstance(D, Empirical) else np.inf]))
         for D in (F, G))
-    rows = [[float(t), float(a), float(b), int(a > b)]
-            for t, a, b in zip(ts, qf, qg)]
-    atomic_write_csv(path, ["t", "F_quantile", "G_quantile",
-                            "F_above_G"], rows)
+    return (["t", "F_quantile", "G_quantile", "F_above_G"],
+            [[float(t), float(a), float(b), int(a > b)]
+             for t, a, b in zip(ts, qf, qg)])
 
 
-def _provenance(config: CommandConfig) -> dict:
-    from .io_utils import config_hash
-    return {"seed": config.seed, "version": __version__,
-            "config": config.to_json(),
-            "config_hash": config_hash(config.to_json())}
-
-
-def _write_run_info(config: CommandConfig, started: float) -> None:
-    from .io_utils import atomic_write_json
+def _write_reports(config: CommandConfig, reports: dict,
+                   started: float) -> None:
+    """Write every report into ``--out``: a dict as JSON with the run's
+    provenance added, a (header, rows) pair as CSV, a str as text; then
+    run_info.json, last."""
+    from .io_utils import (atomic_write_csv, atomic_write_json,
+                           atomic_write_text, config_hash)
+    provenance = {"seed": config.seed, "version": __version__,
+                  "config": config.to_json(),
+                  "config_hash": config_hash(config.to_json())}
+    for name, report in reports.items():
+        path = config.out_dir / name
+        if isinstance(report, dict):
+            atomic_write_json(path, report | {"provenance": provenance})
+        elif isinstance(report, str):
+            atomic_write_text(path, report)
+        else:
+            atomic_write_csv(path, *report)
     atomic_write_json(config.out_dir / "run_info.json", {
         "wall_clock_seconds": time.perf_counter() - started,
         "finished_unix_time": time.time(),
@@ -138,39 +133,35 @@ def _require_two(count: int, flag: str) -> None:
         raise DomainError(f"{flag} must be at least 2, got {count}")
 
 
-def _cmd_indices(config: CommandConfig) -> None:
+def _cmd_indices(config: CommandConfig) -> dict:
     from .indices import GridSpec, index_report
-    from .io_utils import atomic_write_csv, atomic_write_json
     opt = config.options
     F = _load_model(opt["f"])
     G = _load_model(opt["g"])
     grid = GridSpec(opt["grid"])
     report = index_report(F, G, grid)
-    payload = report.to_json() | {"provenance": _provenance(config)}
-    atomic_write_json(config.out_dir / "indices.json", payload)
-    atomic_write_csv(config.out_dir / "indices.csv",
-                     report.csv_header(), [report.to_csv_row()])
+    reports = {"indices.json": report.to_json(),
+               "indices.csv": (report.csv_header(), [report.to_csv_row()])}
     if opt.get("quantile_table"):
-        emit_quantile_table(F, G, grid, config.out_dir / "quantile_table.csv")
+        reports["quantile_table.csv"] = emit_quantile_table(F, G, grid)
+    return reports
 
 
-def _cmd_galton(config: CommandConfig) -> None:
+def _cmd_galton(config: CommandConfig) -> dict:
     from .inference import galton_test
-    from .io_utils import atomic_write_json, load_sample_csv
+    from .io_utils import load_sample_csv
     opt = config.options
     xs = load_sample_csv(opt["x"], header=opt["header"])
     ys = load_sample_csv(opt["y"], header=opt["header"])
     res = galton_test(xs, ys)
-    atomic_write_json(config.out_dir / "galton.json", {
-        "count": res.count, "p_value": res.p_value,
-        "tie_flag": res.tie_flag, "n": int(xs.size),
-        "provenance": _provenance(config)})
+    return {"galton.json": {"count": res.count, "p_value": res.p_value,
+                            "tie_flag": res.tie_flag, "n": int(xs.size)}}
 
 
-def _cmd_test_gamma(config: CommandConfig) -> None:
+def _cmd_test_gamma(config: CommandConfig) -> dict:
     from .indices import GridSpec
     from .inference import gamma_threshold_test
-    from .io_utils import atomic_write_json, load_sample_csv
+    from .io_utils import load_sample_csv
     from .rng import SeedSpec
     opt = config.options
     xs = load_sample_csv(opt["x"], header=opt["header"])
@@ -178,92 +169,78 @@ def _cmd_test_gamma(config: CommandConfig) -> None:
     grid = GridSpec(opt["grid"]) if opt.get("grid") else None
     res = gamma_threshold_test(xs, ys, opt["gamma0"], opt["alpha"],
                                opt["B"], grid, SeedSpec(config.seed))
-    payload = res.to_json() | {"n": int(xs.size), "m": int(ys.size),
-                               "provenance": _provenance(config)}
-    atomic_write_json(config.out_dir / "test_gamma.json", payload)
+    return {"test_gamma.json": res.to_json() | {"n": int(xs.size),
+                                                "m": int(ys.size)}}
 
 
-def _cmd_simulate_table(config: CommandConfig) -> None:
+def _cmd_simulate_table(config: CommandConfig) -> dict:
     from .indices import gamma_index
-    from .io_utils import atomic_write_csv, atomic_write_json
     from .rng import SeedSpec
     from .simharness import builtin_scenarios, run_table
     opt = config.options
     scenarios = builtin_scenarios()
-    wanted = []
     cases = [1, 2, 3, 4] if opt["case"] == "all" else [int(opt["case"])]
     variants = ["t", "mix"] if opt["variant"] == "both" else [opt["variant"]]
-    for c in cases:
-        for v in variants:
-            wanted.append(scenarios[f"case{c}-{v}"])
-    cells = []
-    for sc in wanted:
-        gamma0 = opt["gamma0"] if opt["gamma0"] is not None else sc.nominal_gamma
-        cells.append((sc, gamma0, opt["n"]))
+    wanted = [scenarios[f"case{c}-{v}"] for c in cases for v in variants]
+    cells = [(sc, sc.nominal_gamma if opt["gamma0"] is None else opt["gamma0"],
+              opt["n"]) for sc in wanted]
     results = run_table(cells, opt["reps"], opt["B"], opt["alpha"],
                         SeedSpec(config.seed), threads=_threads(opt))
     nominal = {sc.name: gamma_index(sc.F, sc.G) for sc in wanted} \
         if opt.get("verify_nominal") else None
-    payload = {
-        "cells": [r.to_json() for r in results],
-        "nominal_gamma_check": nominal,
-        "provenance": _provenance(config),
-    }
-    atomic_write_json(config.out_dir / "table.json", payload)
-    atomic_write_csv(config.out_dir / "table_cells.csv",
-                     results[0].csv_header(),
-                     [r.to_csv_row() for r in results])
     # pivoted layout: one row per (gamma0, n), one column per scenario
     names = [sc.name for sc in wanted]
     keys = sorted({(r.gamma0, r.n) for r in results})
     lookup = {(r.scenario, r.gamma0, r.n): r.proportion for r in results}
-    rows = [[g0, n] + [lookup.get((nm, g0, n), "") for nm in names]
-            for g0, n in keys]
-    atomic_write_csv(config.out_dir / "table_layout.csv",
-                     ["gamma0", "n"] + names, rows)
+    return {
+        "table.json": {"cells": [r.to_json() for r in results],
+                       "nominal_gamma_check": nominal},
+        "table_cells.csv": (results[0].csv_header(),
+                            [r.to_csv_row() for r in results]),
+        "table_layout.csv": (
+            ["gamma0", "n"] + names,
+            [[g0, n] + [lookup.get((nm, g0, n), "") for nm in names]
+             for g0, n in keys]),
+    }
 
 
-def _cmd_bridge_lab(config: CommandConfig) -> None:
+def _histogram_csv(edges, counts) -> tuple[list[str], list[list]]:
+    return (["bin_left", "bin_right", "count"],
+            [[float(a), float(b), int(c)]
+             for a, b, c in zip(edges, edges[1:], counts)])
+
+
+def _cmd_bridge_lab(config: CommandConfig) -> dict:
     import numpy as np
 
     from .bridge import SubsetSpec, nonconsistency_demo, occupation_experiment
-    from .io_utils import atomic_write_csv, atomic_write_json
     from .rng import SeedSpec
     opt = config.options
     seed = SeedSpec(config.seed)
-    if opt["mode"] == "occupation":
-        _require_two(opt["paths"], "--paths")
-        subset = SubsetSpec.parse(opt["subset"]) if opt.get("subset") else None
-        occ = occupation_experiment(opt["paths"], opt["bridge_grid"], subset,
-                                    seed, _threads(opt))
-        counts, edges = np.histogram(occ, bins=50, range=(0.0, 1.0))
-        atomic_write_csv(config.out_dir / "occupation_hist.csv",
-                         ["bin_left", "bin_right", "count"],
-                         [[float(edges[i]), float(edges[i + 1]), int(c)]
-                          for i, c in enumerate(counts)])
-        atomic_write_json(config.out_dir / "bridge_lab.json", {
-            "mode": "occupation",
-            "paths": opt["paths"],
-            "bridge_grid": opt["bridge_grid"],
-            "subset": subset.to_json() if subset else None,
-            "mean": float(occ.mean()),
-            "sd": float(occ.std(ddof=1)),
-            "provenance": _provenance(config)})
-    else:
+    if opt["mode"] == "nonconsistency":
         summary = nonconsistency_demo(n=opt["n"], reps=opt["reps"], seed=seed,
                                       threads=_threads(opt))
-        atomic_write_csv(config.out_dir / "nonconsistency_hist.csv",
-                         ["bin_left", "bin_right", "count"],
-                         [[summary["histogram"]["edges"][i],
-                           summary["histogram"]["edges"][i + 1], c]
-                          for i, c in enumerate(summary["histogram"]["counts"])])
-        atomic_write_json(config.out_dir / "nonconsistency.json",
-                          summary | {"provenance": _provenance(config)})
+        return {"nonconsistency_hist.csv": _histogram_csv(
+                    summary["histogram"]["edges"],
+                    summary["histogram"]["counts"]),
+                "nonconsistency.json": summary}
+    _require_two(opt["paths"], "--paths")
+    subset = SubsetSpec.parse(opt["subset"]) if opt.get("subset") else None
+    occ = occupation_experiment(opt["paths"], opt["bridge_grid"], subset,
+                                seed, _threads(opt))
+    counts, edges = np.histogram(occ, bins=50, range=(0.0, 1.0))
+    return {"occupation_hist.csv": _histogram_csv(edges, counts),
+            "bridge_lab.json": {
+                "mode": "occupation",
+                "paths": opt["paths"],
+                "bridge_grid": opt["bridge_grid"],
+                "subset": subset.to_json() if subset else None,
+                "mean": float(occ.mean()),
+                "sd": float(occ.std(ddof=1))}}
 
 
-def _cmd_limit_law(config: CommandConfig) -> None:
+def _cmd_limit_law(config: CommandConfig) -> dict:
     from .inference import pi_limit_sample
-    from .io_utils import atomic_write_json, atomic_write_text
     from .rng import SeedSpec
     from .simharness import asymptotic_law_experiment
     opt = config.options
@@ -274,32 +251,21 @@ def _cmd_limit_law(config: CommandConfig) -> None:
     if opt["index"] == "gamma":
         draws, ref_var = asymptotic_law_experiment(F, G, opt["n"], opt["reps"],
                                                    seed, threads=_threads(opt))
-        payload = {
-            "index": "gamma",
-            "n": opt["n"],
-            "reps": opt["reps"],
-            "reference_variance": ref_var,
-            "draw_mean": float(draws.mean()),
-            "draw_variance": float(draws.var(ddof=1)),
-            "provenance": _provenance(config),
-        }
+        payload = {"index": "gamma", "n": opt["n"], "reps": opt["reps"],
+                   "reference_variance": ref_var}
     else:
         draws, contact = pi_limit_sample(F, G, opt["lam"], opt["reps"], seed)
-        payload = {
-            "index": "pi",
-            "lambda": opt["lam"],
-            "n_paths": opt["reps"],
-            "contact_points": [{"G": float(u), "F": float(v)}
-                               for u, v in contact],
-            "draw_mean": float(draws.mean()),
-            "draw_variance": float(draws.var(ddof=1)),
-            "provenance": _provenance(config),
-        }
-    # one column of round-trip floats: the bytes atomic_write_csv would
-    # write, without a csv row per draw
-    atomic_write_text(config.out_dir / "limit_draws.csv",
-                      "draw\n" + "".join(f"{d!r}\n" for d in draws.tolist()))
-    atomic_write_json(config.out_dir / "limit_law.json", payload)
+        payload = {"index": "pi", "lambda": opt["lam"],
+                   "n_paths": opt["reps"],
+                   "contact_points": [{"G": float(u), "F": float(v)}
+                                      for u, v in contact]}
+    # one column of round-trip floats: the bytes of a CSV report,
+    # without a csv row per draw
+    return {"limit_draws.csv":
+            "draw\n" + "".join(f"{d!r}\n" for d in draws.tolist()),
+            "limit_law.json": payload | {
+                "draw_mean": float(draws.mean()),
+                "draw_variance": float(draws.var(ddof=1))}}
 
 
 _DISPATCH = {
@@ -322,8 +288,7 @@ def run_command(config: CommandConfig) -> int:
         except OSError as exc:
             raise ParameterError(
                 f"--out {config.out_dir}: {exc.strerror}") from None
-        _DISPATCH[config.subcommand](config)
-        _write_run_info(config, started)
+        _write_reports(config, _DISPATCH[config.subcommand](config), started)
         return 0
     except StochordError as exc:
         return _print_error(exc)
@@ -358,8 +323,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="master seed (fallback: STOCHORD_SEED, then 0)")
+        p.add_argument("--seed", type=int, default=0,
+                       help="master seed, a nonnegative integer")
         p.add_argument("--out", default=".", help="output directory")
 
     def threads(p):
@@ -414,12 +379,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bridge-lab", help="bridge occupation experiments")
     p.add_argument("--mode", choices=["occupation", "nonconsistency"],
                    default="occupation")
-    p.add_argument("--paths", type=_positive(int), default=10000)
-    p.add_argument("--bridge-grid", type=_positive(int), default=2048)
-    p.add_argument("--subset", default=None, help="intervals 'a:b,c:d'")
-    p.add_argument("--n", type=_positive(int), default=10000,
+    p.add_argument("--paths", type=_positive(int))
+    p.add_argument("--bridge-grid", type=_positive(int))
+    p.add_argument("--subset", help="intervals 'a:b,c:d'")
+    p.add_argument("--n", type=_positive(int),
                    help="sample size (nonconsistency mode)")
-    p.add_argument("--reps", type=_positive(int), default=2000,
+    p.add_argument("--reps", type=_positive(int),
                    help="replicates (nonconsistency mode)")
     threads(p)
     common(p)
@@ -428,9 +393,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", choices=["gamma", "pi"], default="gamma")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--n", type=_positive(int), default=5000)
+    p.add_argument("--n", type=_positive(int))
     p.add_argument("--reps", type=_positive(int), default=2000)
-    p.add_argument("--lam", type=float, default=0.5,
+    p.add_argument("--lam", type=float,
                    help="sampling fraction for the pi limit")
     threads(p)
     common(p)
@@ -438,19 +403,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# per subcommand, its mode option and, per mode, the options only that
+# mode reads with their defaults; the other modes reject them
+_MODE_OPTIONS = {
+    "bridge-lab": ("mode", {
+        "occupation": {"paths": 10000, "bridge_grid": 2048, "subset": None},
+        "nonconsistency": {"n": 10000, "reps": 2000}}),
+    "limit-law": ("index", {"gamma": {"n": 5000}, "pi": {"lam": 0.5}}),
+}
+
+
 def _config_from_args(args: argparse.Namespace) -> CommandConfig:
     options = {k: v for k, v in vars(args).items()
                if k not in ("subcommand", "seed", "out")}
+    flag, modes = _MODE_OPTIONS.get(args.subcommand, (None, {}))
+    for mode, defaults in modes.items():
+        for key, default in defaults.items():
+            if options[key] is None:
+                options[key] = default
+            elif mode != options[flag]:
+                raise ParameterError(f"--{key.replace('_', '-')} is not read "
+                                     f"by --{flag} {options[flag]}")
     for key in ("alpha", "lam"):
-        if key in options and options[key] is not None:
-            if not (0.0 < options[key] < 1.0):
-                raise DomainError(f"--{key} must lie in (0, 1)")
+        if key in options and not (0.0 < options[key] < 1.0):
+            raise DomainError(f"--{key} must lie in (0, 1)")
     if options.get("gamma0") is not None:
         if not (0.0 <= options["gamma0"] <= 1.0):
             raise DomainError("--gamma0 must lie in [0, 1]")
+    if args.seed < 0:
+        raise DomainError(f"the seed must be nonnegative, got {args.seed}")
     return CommandConfig(subcommand=args.subcommand,
                          out_dir=Path(args.out),
-                         seed=_resolve_seed(args.seed),
+                         seed=args.seed,
                          options=options)
 
 

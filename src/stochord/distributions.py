@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,9 @@ __all__ = [
 
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# the least sd of a normal (component): phi(0) / sd overflows for a
+# subnormal one
+_MIN_SD = sys.float_info.min
 
 
 def _phi(z):
@@ -167,8 +171,9 @@ class Normal(Distribution):
         self.sd = float(sd)
         if not math.isfinite(self.mean) or not math.isfinite(self.sd):
             raise ParameterError("normal parameters must be finite")
-        if self.sd <= 0.0:
-            raise ParameterError(f"sd must be positive, got {self.sd}")
+        if self.sd < _MIN_SD:
+            raise ParameterError(f"sd must be at least {_MIN_SD!r}, the "
+                                 f"least normal double, got {self.sd}")
 
     @_evaluator()
     def cdf(self, x):
@@ -383,8 +388,10 @@ class NormalMixture(Distribution):
                 raise ParameterError("mixture parameters must be finite")
             if w <= 0.0:
                 raise ParameterError(f"mixture weight must be positive, got {w}")
-            if s <= 0.0:
-                raise ParameterError(f"mixture sd must be positive, got {s}")
+            if s < _MIN_SD:
+                raise ParameterError(f"mixture sd must be at least "
+                                     f"{_MIN_SD!r}, the least normal "
+                                     f"double, got {s}")
         total = sum(w for w, _, _ in comps)
         if abs(total - 1.0) > 1e-9:
             raise ParameterError(f"mixture weights sum to {total}, expected 1")

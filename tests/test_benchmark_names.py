@@ -100,3 +100,45 @@ def test_sample_against_t1_reaches_every_traced_t1_layer(tmp_path):
     calls = Counter(s.name for s in recorder.spans)
     for layer in ("quantile", "cdf", "density"):
         assert calls[f"distributions.NoncentralT1.{layer}"] > 0, layer
+
+
+def test_indices_reach_every_traced_index_layer(tmp_path):
+    # `perfbench/spans.py` times the indices through the calls that
+    # `index_report` makes: pi_index once for pi and once, with the
+    # models swapped, for vartheta; a report that computed an index
+    # another way would leave that layer's self time at zero
+    import json
+
+    import numpy as np
+
+    from stochord.cli import main
+
+    rng = np.random.default_rng(5)
+    inputs = {}
+    for name, desc in (("t1.json", {"kind": "t1", "ncp": 0.5}),
+                       ("normal.json", {"kind": "normal", "mean": 1.0,
+                                        "sd": 2.0})):
+        inputs[name] = tmp_path / name
+        inputs[name].write_text(json.dumps(desc))
+    for name, loc in (("x.csv", 0.0), ("y.csv", 0.5)):
+        inputs[name] = tmp_path / name
+        np.savetxt(inputs[name], loc + rng.standard_normal(200), fmt="%.17g")
+    spans = _spans_module()
+    for f, g in (("t1.json", "normal.json"), ("x.csv", "t1.json"),
+                 ("x.csv", "y.csv")):
+        recorder = spans.Recorder()
+        restore = spans.install(recorder)
+        try:
+            assert main(["indices", "--f", str(inputs[f]),
+                         "--g", str(inputs[g]),
+                         "--out", str(tmp_path / f"{f}-{g}")]) == 0
+        finally:
+            restore()
+        calls = Counter(s.name for s in recorder.spans)
+        assert {name: calls[f"indices.{name}"] for name in (
+            "index_report", "gamma_index", "rho_index", "pi_index",
+            "epsilon_index")} == {"index_report": 1, "gamma_index": 1,
+                                  "rho_index": 1, "pi_index": 2,
+                                  "epsilon_index": 1}, (f, g)
+        assert all(s.end > s.start for s in recorder.spans
+                   if s.name.startswith("indices."))

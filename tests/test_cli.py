@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochord import (GridSpec, Normal, SeedSpec, galton_test, index_report,
-                      pi_index)
+from stochord import (GridSpec, Normal, NumericError, SeedSpec, galton_test,
+                      index_report, pi_index)
+from stochord import cli
 from stochord.cli import emit_quantile_table, main
+from stochord.io_utils import config_hash
 
 
 def write_model(tmp_path, name, desc):
@@ -63,13 +65,29 @@ def test_quantile_table_rows_and_endpoints(tmp_path, normal_pair):
     assert first[3] == "0" and last[3] == "0"
 
 
-def test_quantile_table_identical_models_indicator_zero(tmp_path):
+def test_quantile_table_identical_models_indicator_zero():
     F = Normal(0, 1)
-    path = tmp_path / "q.csv"
-    emit_quantile_table(F, F, GridSpec(101), path)
-    rows = path.read_text().splitlines()[1:]
+    header, rows = emit_quantile_table(F, F, GridSpec(101))
+    assert header == ["t", "F_quantile", "G_quantile", "F_above_G"]
     assert len(rows) == 101
-    assert all(r.split(",")[3] == "0" for r in rows)
+    assert all(r[3] == 0 for r in rows)
+
+
+def test_failed_run_writes_no_report(tmp_path, normal_pair, capsys,
+                                     monkeypatch):
+    # the quantile table is computed after the indices: a failure there
+    # leaves no indices.json behind either
+    def fail(*args):
+        raise NumericError("quantile table failed")
+
+    monkeypatch.setattr(cli, "emit_quantile_table", fail)
+    f, g = normal_pair
+    out = tmp_path / "out"
+    assert main(["indices", "--f", f, "--g", g, "--quantile-table",
+                 "--out", str(out)]) == 4
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "NumericError"
+    assert list(out.iterdir()) == []
 
 
 def test_indices_accepts_csv_models(tmp_path, sample_pair):
@@ -173,6 +191,20 @@ RERUN_CONFIGS = {
 }
 
 
+# the reports each configuration writes, besides run_info.json
+RERUN_REPORTS = {
+    "indices": {"indices.json", "indices.csv", "quantile_table.csv"},
+    "galton": {"galton.json"},
+    "test-gamma": {"test_gamma.json"},
+    "limit-law-gamma": {"limit_law.json", "limit_draws.csv"},
+    "limit-law-pi": {"limit_law.json", "limit_draws.csv"},
+    "bridge-lab-occupation": {"bridge_lab.json", "occupation_hist.csv"},
+    "bridge-lab-nonconsistency": {"nonconsistency.json",
+                                  "nonconsistency_hist.csv"},
+    "simulate-table": {"table.json", "table_cells.csv", "table_layout.csv"},
+}
+
+
 @pytest.mark.parametrize("name", list(RERUN_CONFIGS))
 def test_rerun_reproduces_bytes(tmp_path, sample_pair, name):
     # every report but run_info.json is byte-identical across reruns
@@ -186,12 +218,20 @@ def test_rerun_reproduces_bytes(tmp_path, sample_pair, name):
         assert main(argv + ["--seed", "7", "--out", str(out)]) == 0
         reports.append({p.name: p.read_bytes() for p in out.iterdir()
                         if p.name != "run_info.json"})
-    assert reports[0]
+        assert (out / "run_info.json").exists()
+    assert set(reports[0]) == RERUN_REPORTS[name]
     assert reports[0] == reports[1]
-    # strict JSON: NaN and Infinity are not JSON, and no report may hold them
-    for name, data in reports[0].items():
-        if name.endswith(".json"):
-            json.loads(data, parse_constant=_reject_constant)
+    # strict JSON: NaN and Infinity are not JSON, and no report may hold
+    # them; every JSON report embeds the run's one provenance block
+    provenance = [json.loads(data, parse_constant=_reject_constant)
+                  ["provenance"] for name, data in reports[0].items()
+                  if name.endswith(".json")]
+    assert provenance
+    for block in provenance:
+        assert block == provenance[0]
+        assert block["seed"] == block["config"]["seed"] == 7
+        assert block["config"]["subcommand"] == argv[0]
+        assert block["config_hash"] == config_hash(block["config"])
 
 
 def _reject_constant(name):
@@ -212,10 +252,13 @@ def _reject_constant(name):
      3, "DataError"),
     (b'{"kind": "empirical", "values": [true, "2", 3]}', 3, "DataError"),
     (b'{"kind": "empirical", "values": [1, "2", 3]}', 3, "DataError"),
+    (b'{"kind": "normal", "mean": 0, "sd": 1e-320}', 2, "ParameterError"),
+    (b'{"kind": "mixture", "components": [{"w": 1, "mean": 0, "sd": 1e-320}]}',
+     2, "ParameterError"),
 ], ids=["not-utf8", "string-mean", "string-value", "null-ncp",
         "scalar-components", "negative-sd", "bool-sd", "numeric-string-sd",
         "numeric-string-ncp", "bool-weight", "bool-value",
-        "numeric-string-value"])
+        "numeric-string-value", "subnormal-sd", "subnormal-mixture-sd"])
 def test_bad_model_file_exit_code(tmp_path, capsys, content, code, error):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
@@ -441,17 +484,6 @@ def test_argparse_usage_exit_two(normal_pair):
     assert exc.value.code == 2
 
 
-def test_seed_env_fallback(tmp_path, normal_pair, monkeypatch):
-    f, g = normal_pair
-    out = tmp_path / "out"
-    monkeypatch.setenv("STOCHORD_SEED", "77")
-    assert main(["indices", "--f", f, "--g", g, "--out", str(out)]) == 0
-    got = json.loads((out / "indices.json").read_text())
-    assert got["provenance"]["seed"] == 77
-    monkeypatch.setenv("STOCHORD_SEED", "xyz")
-    assert main(["indices", "--f", f, "--g", g, "--out", str(out)]) == 2
-
-
 @pytest.mark.parametrize("argv", [
     ["test-gamma", "--x", "{x}", "--y", "{y}", "--gamma0", "0.3",
      "--B", "20", "--seed", "-1"],
@@ -460,13 +492,9 @@ def test_seed_env_fallback(tmp_path, normal_pair, monkeypatch):
     ["bridge-lab", "--paths", "5", "--bridge-grid", "64", "--seed", "-1"],
     ["limit-law", "--index", "pi", "--f", "{f}", "--g", "{g}",
      "--reps", "20", "--seed", "-1"],
-    ["test-gamma", "--x", "{x}", "--y", "{y}", "--gamma0", "0.3",
-     "--B", "20"],
-], ids=["test-gamma", "simulate-table", "bridge-lab", "limit-law", "env"])
+], ids=["test-gamma", "simulate-table", "bridge-lab", "limit-law"])
 def test_negative_seed_is_a_usage_error(tmp_path, sample_pair, normal_pair,
-                                        capsys, monkeypatch, argv):
-    # the last case takes its seed from the environment
-    monkeypatch.setenv("STOCHORD_SEED", "-1")
+                                        capsys, argv):
     (x, y), (f, g) = sample_pair, normal_pair
     out = tmp_path / "out"
     argv = [a.format(x=x, y=y, f=f, g=g) for a in argv]
@@ -477,14 +505,57 @@ def test_negative_seed_is_a_usage_error(tmp_path, sample_pair, normal_pair,
     assert not out.exists()
 
 
-def test_seed_flag_beats_env(tmp_path, normal_pair, monkeypatch):
+@pytest.mark.parametrize("argv, option", [
+    (["bridge-lab", "--mode", "occupation", "--paths", "20",
+      "--bridge-grid", "64", "--n", "3"], "--n"),
+    (["bridge-lab", "--paths", "20", "--bridge-grid", "64", "--reps", "7"],
+     "--reps"),
+    (["bridge-lab", "--mode", "nonconsistency", "--n", "100", "--reps", "10",
+      "--paths", "20"], "--paths"),
+    (["bridge-lab", "--mode", "nonconsistency", "--n", "100", "--reps", "10",
+      "--bridge-grid", "64"], "--bridge-grid"),
+    (["bridge-lab", "--mode", "nonconsistency", "--n", "100", "--reps", "10",
+      "--subset", "0.2:0.6"], "--subset"),
+    (["limit-law", "--index", "gamma", "--f", "{f}", "--g", "{g}",
+      "--n", "100", "--reps", "5", "--lam", "0.3"], "--lam"),
+    (["limit-law", "--f", "{f}", "--g", "{g}", "--n", "100", "--reps", "5",
+      "--lam", "0.5"], "--lam"),
+    (["limit-law", "--index", "pi", "--f", "{f}", "--g", "{g}",
+      "--reps", "20", "--n", "100"], "--n"),
+], ids=["occupation-n", "occupation-reps", "nonconsistency-paths",
+        "nonconsistency-bridge-grid", "nonconsistency-subset",
+        "gamma-lam", "default-gamma-lam", "pi-n"])
+def test_option_the_mode_never_reads_is_a_usage_error(tmp_path, normal_pair,
+                                                      capsys, argv, option):
+    # given with its default value too: the mode would ignore it
     f, g = normal_pair
     out = tmp_path / "out"
-    monkeypatch.setenv("STOCHORD_SEED", "77")
-    assert main(["indices", "--f", f, "--g", g, "--seed", "5",
-                 "--out", str(out)]) == 0
-    got = json.loads((out / "indices.json").read_text())
-    assert got["provenance"]["seed"] == 5
+    argv = [a.format(f=f, g=g) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ParameterError" and err["exit_code"] == 2
+    assert err["message"].startswith(f"{option} is not read by --")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    (["bridge-lab", "--mode", "nonconsistency", "--n", "100", "--reps", "10"],
+     {"paths": 10000, "bridge_grid": 2048, "subset": None}),
+    (["bridge-lab", "--paths", "20", "--bridge-grid", "64"],
+     {"mode": "occupation", "n": 10000, "reps": 2000}),
+    (["limit-law", "--f", "{f}", "--g", "{g}", "--n", "100", "--reps", "5"],
+     {"index": "gamma", "lam": 0.5}),
+    (["limit-law", "--index", "pi", "--f", "{f}", "--g", "{g}",
+      "--reps", "20"], {"n": 5000}),
+], ids=["nonconsistency", "occupation", "limit-law-gamma", "limit-law-pi"])
+def test_recorded_config_lists_unread_options_at_their_defaults(
+        tmp_path, normal_pair, argv, defaults):
+    f, g = normal_pair
+    out = tmp_path / "out"
+    assert main([a.format(f=f, g=g) for a in argv] + ["--out", str(out)]) == 0
+    [report] = [p for p in out.glob("*.json") if p.name != "run_info.json"]
+    options = json.loads(report.read_text())["provenance"]["config"]["options"]
+    assert options.items() >= defaults.items()
 
 
 @pytest.mark.parametrize("argv", [

@@ -29,6 +29,27 @@ def test_normal_rejects_bad_sd():
         Normal(0.0, -1.0)
 
 
+@pytest.mark.parametrize("sd", [5e-324, 1e-320, 2.225073858507201e-308],
+                         ids=["least", "1e-320", "greatest"])
+def test_subnormal_sd_is_rejected(sd):
+    # phi(0) / sd overflows to inf for a subnormal sd
+    with pytest.raises(ParameterError, match="least normal double"):
+        Normal(0.0, sd)
+    with pytest.raises(ParameterError, match="least normal double"):
+        NormalMixture([(1.0, 0.0, sd)])
+    with pytest.raises(ParameterError, match="least normal double"):
+        NormalMixture([(0.5, 0.0, 1.0), (0.5, 1.0, sd)])
+
+
+def test_least_normal_sd_has_a_finite_density():
+    sd = 2.2250738585072014e-308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in (Normal(0.0, sd), NormalMixture([(1.0, 0.0, sd)])):
+            assert d.density(0.0) == pytest.approx(
+                1 / (sd * np.sqrt(2 * np.pi)))
+
+
 @pytest.mark.parametrize("ncp", [0.0, 0.167, 0.5, -1.3, 3.0])
 def test_t1_cdf_density_against_scipy(ncp):
     d = NoncentralT1(ncp)

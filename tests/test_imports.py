@@ -72,11 +72,6 @@ def test_front_end_loads_neither_numpy_nor_scipy(argv, rc):
     assert cli(argv) == {"rc": rc, "loaded": []}
 
 
-def test_negative_env_seed_loads_no_numpy(monkeypatch):
-    monkeypatch.setenv("STOCHORD_SEED", "-1")
-    assert cli(["bridge-lab"]) == {"rc": 2, "loaded": []}
-
-
 @pytest.fixture
 def samples(tmp_path):
     rng = np.random.default_rng(3)
