@@ -225,7 +225,8 @@ def _cmd_bridge_lab(config: CommandConfig) -> dict:
                     summary["histogram"]["counts"]),
                 "nonconsistency.json": summary}
     _require_two(opt["paths"], "--paths")
-    subset = SubsetSpec.parse(opt["subset"]) if opt.get("subset") else None
+    subset = (None if opt["subset"] is None
+              else SubsetSpec.parse(opt["subset"]))
     occ = occupation_experiment(opt["paths"], opt["bridge_grid"], subset,
                                 seed, _threads(opt))
     counts, edges = np.histogram(occ, bins=50, range=(0.0, 1.0))
@@ -234,7 +235,7 @@ def _cmd_bridge_lab(config: CommandConfig) -> dict:
                 "mode": "occupation",
                 "paths": opt["paths"],
                 "bridge_grid": opt["bridge_grid"],
-                "subset": subset.to_json() if subset else None,
+                "subset": None if subset is None else subset.to_json(),
                 "mean": float(occ.mean()),
                 "sd": float(occ.std(ddof=1))}}
 

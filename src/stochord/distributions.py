@@ -104,21 +104,65 @@ def _evaluator(probability: bool = False):
     return wrap
 
 
-def _bisect(above, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Bisect all brackets [lo_k, hi_k] together until each one's ends
-    are adjacent doubles; ``above(x, k)`` tells whether x, inside bracket
-    k, lies on its hi side (the ends are never evaluated).  The midpoint
-    0.5 a + 0.5 b cannot overflow.  Returns the final (lo, hi)."""
+def _bisect(probe, lo, hi, x=None, ends=None
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Shrink all brackets [lo_k, hi_k] together until each one's ends
+    are adjacent doubles.  ``probe(x, k)`` returns, for points x inside
+    brackets k (the ends are never probed), whether x lies on the
+    bracket's hi side, a value v that changes sign there, and its slope
+    dv/dx, or None for the secant slope through the bracket's previous
+    probe.  ``ends`` gives v at lo and hi, when known.
+
+    The first probe is ``x``, else the false position of ``ends``, else
+    the midpoint; each next one is a Newton step v / slope from the last.
+    A zero v gives no step: on a flat stretch of v it says nothing of the
+    distance to the side change.  A step that lands on an end, or passes
+    it by at most an eighth of its length, moves inside that end by one
+    ulp, twice as far at each further such move.  The midpoint replaces
+    any other step that leaves the bracket, and every step after two
+    passes that did not halve the bracket.  The side test alone moves the
+    ends, so they stop where it flips, as with plain halving; the
+    midpoint 0.5 a + 0.5 b cannot overflow.  Returns the final (lo, hi).
+    """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    active = np.arange(lo.size)
+    mid = 0.5 * lo + 0.5 * hi
+    xp = lo.copy()                      # the previous probe, for the secant
+    vp = (np.full(lo.size, np.nan) if ends is None
+          else np.array(ends[0], dtype=float))
+    reach = np.ones(lo.size)            # ulps of the next move off an end
+    wide = np.full(lo.size, np.inf)     # the width two passes back
+    width = hi - lo                     # and one pass back
+    quiet = functools.partial(np.errstate, divide="ignore", invalid="ignore",
+                              over="ignore")
+    with quiet():
+        if x is None and ends is not None:
+            x = lo - vp * (hi - lo) / (ends[1] - vp)
+        x = mid if x is None else np.where((lo < x) & (x < hi), x, mid)
+    active = np.flatnonzero((lo < mid) & (mid < hi))
     while active.size:
-        a, b = lo[active], hi[active]
-        mid = 0.5 * a + 0.5 * b
-        live = (a < mid) & (mid < b)
-        active, a, b, mid = active[live], a[live], b[live], mid[live]
-        up = above(mid, active)
-        lo[active] = np.where(up, a, mid)
-        hi[active] = np.where(up, mid, b)
+        xa = x[active]
+        up, v, slope = probe(xa, active)
+        with quiet():
+            v = np.where(v == 0.0, np.nan, v)
+            if slope is None:
+                slope = (v - vp[active]) / (xa - xp[active])
+            xp[active], vp[active] = xa, v
+            a = lo[active] = np.where(up, lo[active], xa)
+            b = hi[active] = np.where(up, xa, hi[active])
+            step = xa - v / slope
+            slack = 0.125 * np.abs(step - xa)
+            off_a = (step <= a) & (a - step <= slack)
+            off_b = (step >= b) & (step - b <= slack)
+            r = reach[active]
+            step = np.where(off_a, a + r * np.abs(np.spacing(a)),
+                            np.where(off_b, b - r * np.abs(np.spacing(b)),
+                                     step))
+            reach[active] = np.where(off_a | off_b, 2.0 * r, r)
+            m = 0.5 * a + 0.5 * b
+            slow = b - a > 0.5 * wide[active]
+            x[active] = np.where(slow | ~((a < step) & (step < b)), m, step)
+            wide[active], width[active] = width[active], b - a
+        active = active[(a < m) & (m < b)]
     return lo, hi
 
 
@@ -370,6 +414,14 @@ class NoncentralT1(Distribution):
         return {"kind": "t1", "ncp": self.ncp}
 
 
+# Levels of the mixture quantile's table: every component's quantiles
+# at them, log-spaced down to 1e-300 and up to 1 - 1e-16 (1 - t is at
+# least 2^-53), and j/64 between.
+_MIX_LEVELS = np.concatenate((np.logspace(-300, math.log10(0.5), 60),
+                              np.arange(1, 64) / 64,
+                              1.0 - np.logspace(-16, math.log10(0.5), 16)))
+
+
 class NormalMixture(Distribution):
     """Finite mixture of Gaussians.
 
@@ -396,6 +448,7 @@ class NormalMixture(Distribution):
         if abs(total - 1.0) > 1e-9:
             raise ParameterError(f"mixture weights sum to {total}, expected 1")
         self.components = comps
+        self._table: tuple[np.ndarray, np.ndarray] | None = None
         self._w = np.array([c[0] for c in comps])
         self._m = np.array([c[1] for c in comps])
         self._s = np.array([c[2] for c in comps])
@@ -419,15 +472,47 @@ class NormalMixture(Distribution):
     def quantile(self, t):
         """Least double x with cdf(x) >= t.  At the least of the
         components' quantiles at s = t / sum(w) every Phi_k <= s, at the
-        largest every Phi_k >= s: so they bracket F = t = s sum(w)."""
+        largest every Phi_k >= s: so they bracket F = t = s sum(w).  The
+        cell of `_quantile_table` holding t narrows the bracket, and
+        Newton steps from its linear interpolation solve log F = log t
+        below the median, where F falls like a Gaussian tail, and F = t
+        above it; `_bisect` stops them where cdf(x) >= t flips."""
         from .special import ndtri
         s = t / self._w.sum()
         if (s >= 1.0).any():
             raise NumericError("mixture quantile level exceeds the weights' "
                                "sum: the CDF never reaches it")
         q = self._m[:, None] + self._s[:, None] * ndtri(s)
-        return _bisect(lambda x, k: self.cdf(x) >= t[k],
-                       q.min(axis=0), q.max(axis=0))[1]
+        xt, ft = self._quantile_table()
+        j = np.searchsorted(ft, t, side="left")     # ft[j - 1] < t <= ft[j]
+        lo, hi = xt[j - 1], xt[j]
+        with np.errstate(invalid="ignore"):     # an infinite end: no start
+            x = lo + (t - ft[j - 1]) / (ft[j] - ft[j - 1]) * (hi - lo)
+        low = t < 0.5
+
+        def probe(x, k):
+            c, f, tk = self.cdf(x), self.density(x), t[k]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return (c >= tk,
+                        np.where(low[k], np.log1p((c - tk) / tk), c - tk),
+                        np.where(low[k], f / c, f))
+        return _bisect(probe, np.maximum(lo, q.min(axis=0)),
+                       np.minimum(hi, q.max(axis=0)), x)[1]
+
+    def _quantile_table(self) -> tuple[np.ndarray, np.ndarray]:
+        # Lazily built table (x, F(x)) at every component's quantiles of
+        # `_MIX_LEVELS`, kept where the running maximum of F rises, so
+        # that each value is F's own, between (-inf, 0) and (inf, 1).
+        if self._table is None:
+            from .special import ndtri
+            x = _sorted_unique(self._m[:, None]
+                               + self._s[:, None] * ndtri(_MIX_LEVELS))
+            fs = np.maximum.accumulate(self.cdf(x))
+            rise = np.ones(fs.size, dtype=bool)
+            np.greater(fs[1:], fs[:-1], out=rise[1:])
+            self._table = (np.concatenate(([-np.inf], x[rise], [np.inf])),
+                           np.concatenate(([0.0], fs[rise], [1.0])))
+        return self._table
 
     def sample(self, n: int, seed) -> np.ndarray:
         def draw(rng, out):

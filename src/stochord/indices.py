@@ -22,13 +22,21 @@ All evaluators accept any mix of the model families and compute each
 index exactly, up to rounding, with one method per pair kind.  Pairs of
 empirical models use exact order-statistic computations.  A sample
 against a continuous model sums over the sample's order statistics.
-Two continuous models use the crossings of their quantile curves,
-bisected to adjacent doubles as roots of G - F (gamma), the roots of
-g - f (pi), or Gauss-Legendre quadrature between quantile knots (rho)
-and the roots of G - F (epsilon).  No index depends on a grid.
+Two continuous models use the crossings of their quantile curves, the
+roots of G - F (gamma), the roots of g - f (pi), Gauss-Legendre
+quadrature between quantile knots (rho), and both knots and crossings
+(epsilon).  `distributions._bisect` solves every root to adjacent
+doubles, with Newton steps on g - f for the crossings and secant steps
+for the roots of g - f.  No index depends on a grid.
+
+`index_report` computes what its indices share once per call: each
+model's quantiles in one call, the crossings for gamma and epsilon, the
+knots for rho and epsilon, and one search of g - f for pi and vartheta.
+Each index function called alone gives the same value, bit for bit.
 """
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass
 
@@ -164,7 +172,7 @@ def gamma_index(F: Distribution, G: Distribution) -> float:
         n = F.n
         return float(np.sum(np.clip(G.cdf(F.values) - np.arange(n) / n,
                                     0.0, 1.0 / n)))
-    return _crossings(F, G)[2]
+    return _shared(_crossings, F, G)[2]
 
 
 def _cdf_left(model: Distribution, x: np.ndarray) -> np.ndarray:
@@ -196,7 +204,7 @@ def rho_index(F: Distribution, G: Distribution) -> float:
         return 1.0 - rho_index(G, F)
     if f_emp:
         return float(np.mean(G.cdf(F.values)))
-    knots = _support_knots(F, G)
+    knots = _shared(_support_knots, F, G)
     xs, w = _gauss_legendre(knots, 4)
     body = np.sum(G.cdf(xs) * F.density(xs) * w)
     (fa, fb), (ga, gb) = (D.cdf(knots[[0, -1]]) for D in (F, G))
@@ -214,32 +222,115 @@ _TAIL_LEVELS = np.logspace(-12, math.log10(0.5), 49)[:-1]
 _TAIL_U_GRID = np.sort(np.concatenate((
     np.arange(1, 2049) / 2049, _TAIL_LEVELS, 1.0 - _TAIL_LEVELS)))
 
-
-def _sign_roots(h, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of a vectorized ``h`` at its sign changes on the sorted grid
-    ``xs`` (h can vanish on a whole run of grid points), bisected to
-    adjacent doubles by `_bisect`.  Zeros of h count with its negative
-    side: a bracket across a run of them is bisected to the end of the
-    run that meets h > 0, so the run lies on a piece of negative sign.
-    Returns the roots and the sign of h on the pieces between them: that
-    of the first nonzero grid point above each root, and below the first
-    (0 if h vanishes on the whole grid)."""
-    sign = np.sign(h(xs))
-    nz = np.flatnonzero(sign)
-    flip = np.flatnonzero(sign[nz[:-1]] != sign[nz[1:]])
-    side = sign[nz[flip]] > 0
-    lo, hi = _bisect(lambda x, k: (h(x) > 0) != side[k],
-                     xs[nz[flip]], xs[nz[flip + 1]])
-    first = nz[np.concatenate(([0], flip + 1))] if nz.size else [0]
-    return 0.5 * (lo + hi), sign[first]
-
-
 # Levels at which `_crossings` brackets the roots of G - F: t_j =
 # j/20002, and below and above them the tail levels of `_TAIL_U_GRID`,
 # reaching 1e-12 into each tail like pi's search.
 _CROSSING_TAILS = _TAIL_LEVELS[_TAIL_LEVELS < 1 / 20002]
 _CROSSING_LEVELS = np.concatenate((
     _CROSSING_TAILS, np.arange(1, 20002) / 20002, 1.0 - _CROSSING_TAILS[::-1]))
+
+# Levels of a continuous model's knots in `_support_knots`: log-spaced
+# from 1e-10 to 1/2 and on to 1 - 1e-10, each once.
+_KNOT_LEVELS = _sorted_unique(np.concatenate((
+    np.logspace(-10, math.log10(0.5), 201),
+    1.0 - np.logspace(-10, math.log10(0.5), 201))))
+
+# The level sets at which the indices of two continuous models take
+# quantiles: F's at all three, G's at the knot and peak levels.
+_LEVELS = {"crossing": _CROSSING_LEVELS, "knot": _KNOT_LEVELS,
+           "peak": _TAIL_U_GRID}
+
+
+class _PairWork:
+    """The work that the indices of one `index_report` call of (F, G)
+    share: the values of `_shared` functions, by function, and for two
+    continuous models each one's quantiles at all its level sets, from
+    one call per model."""
+
+    def __init__(self, F: Distribution, G: Distribution):
+        self.F, self.G = F, G
+        self.done = {}
+
+    def quantiles(self, model: Distribution, kind: str) -> np.ndarray:
+        kinds = ()
+        if not (isinstance(self.F, Empirical) or isinstance(self.G, Empirical)):
+            kinds = (("crossing", "knot", "peak") if model is self.F
+                     else ("knot", "peak") if model is self.G else ())
+        if kind not in kinds:
+            return model.quantile(_LEVELS[kind])
+        key = "F" if model is self.F else "G"
+        if key not in self.done:
+            q = model.quantile(np.concatenate([_LEVELS[k] for k in kinds]))
+            ends = np.cumsum([_LEVELS[k].size for k in kinds])[:-1]
+            self.done[key] = dict(zip(kinds, np.split(q, ends)))
+        return self.done[key][kind]
+
+
+# The work of the running `index_report` call, or None outside one; a
+# context variable, so each thread's reports keep their own.
+_REPORT: contextvars.ContextVar[_PairWork | None] = contextvars.ContextVar(
+    "stochord_index_report", default=None)
+
+
+def _quantiles(model: Distribution, kind: str) -> np.ndarray:
+    """model.quantile at `_LEVELS`[kind], from the running report's one
+    call per model where it shares them."""
+    work = _REPORT.get()
+    if work is None:
+        return model.quantile(_LEVELS[kind])
+    return work.quantiles(model, kind)
+
+
+def _shared(compute, F: Distribution, G: Distribution, swap=None):
+    """compute(F, G), computed once per `index_report` call whose pair
+    is (F, G), or is (G, F) when ``swap`` maps compute(G, F) to
+    compute(F, G).  Outside a report, or for another pair, it is computed
+    afresh: nothing outlives the call, and models are matched by identity
+    while the report holds them."""
+    work = _REPORT.get()
+    if work is None:
+        return compute(F, G)
+    if work.F is F and work.G is G:
+        flip = None
+    elif swap is not None and work.F is G and work.G is F:
+        F, G, flip = G, F, swap
+    else:
+        return compute(F, G)
+    if compute not in work.done:
+        work.done[compute] = compute(F, G)
+    value = work.done[compute]
+    return value if flip is None else flip(value)
+
+
+def _sign_roots(h, xs: np.ndarray, slope=None, below: bool = False
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of a vectorized ``h`` at its sign changes on the sorted grid
+    ``xs`` (h can vanish on a whole run of grid points), solved to
+    adjacent doubles by `_bisect`: Newton steps where ``slope`` gives h',
+    secant steps from the grid values otherwise.  Zeros of h count with
+    its negative side: a bracket across a run of them shrinks to the end
+    of the run that meets h > 0, so the run lies on a piece of negative
+    sign.  With ``below`` they count with the side below them instead, a
+    rule that gives h and -h the same roots.  Returns the roots and the
+    sign of h on the pieces between them: that of the first nonzero grid
+    point above each root, and below the first (0 if h vanishes on the
+    whole grid)."""
+    v = h(xs)
+    sign = np.sign(v)
+    nz = np.flatnonzero(sign)
+    flip = np.flatnonzero(sign[nz[:-1]] != sign[nz[1:]])
+    side = sign[nz[flip]] > 0
+
+    def probe(x, k):
+        hx = h(x)
+        up = (hx > 0) != side[k]
+        if below:
+            up &= hx != 0
+        return up, hx, None if slope is None else slope(x)
+    lo, hi = _bisect(probe, xs[nz[flip]], xs[nz[flip + 1]],
+                     ends=(v[nz[flip]], v[nz[flip + 1]]))
+    first = nz[np.concatenate(([0], flip + 1))] if nz.size else [0]
+    return 0.5 * (lo + hi), sign[first]
 
 
 def _crossings(F: Distribution, G: Distribution
@@ -250,15 +341,23 @@ def _crossings(F: Distribution, G: Distribution
     crossings are the roots of G - F at the levels t = F(x).  The sign
     of G - F at F's quantiles of `_CROSSING_LEVELS` brackets each sign
     change (it can vanish on a whole run of them, e.g. symmetric pairs
-    at t = 1/2), and `_sign_roots` bisects the brackets to adjacent
-    doubles.  Returns the roots x, their levels t, and gamma: the summed
-    length of the t-pieces between crossings on which G - F is
+    at t = 1/2), and `_sign_roots` solves the brackets to adjacent
+    doubles with Newton steps on g - f (secant steps for a law without a
+    density).  Returns the roots x, their levels t, and gamma: the
+    summed length of the t-pieces between crossings on which G - F is
     positive, so it carries the crossings' rounding error, not a grid's.
-    Where G - F rounds to 0 at every level (N(1e-17, 1) against N(0, 1)),
-    the pieces come from F^{-1} - G^{-1} at those levels, bisected in t.
+    Where G - F rounds to 0 at every level (N(1e-17, 1) against
+    N(0, 1)), the pieces come from F^{-1} - G^{-1} at those levels,
+    solved in t.
     """
+    def slope(x):
+        try:
+            return G.density(x) - F.density(x)
+        except DomainError:     # a law without a density: secant steps
+            return None
+
     x, sign = _sign_roots(lambda x: G.cdf(x) - F.cdf(x),
-                          F.quantile(_CROSSING_LEVELS))
+                          _quantiles(F, "crossing"), slope)
     t = F.cdf(x)
     if not (x.size or sign[0]):
         t, sign = _sign_roots(lambda t: F.quantile(t) - G.quantile(t),
@@ -266,6 +365,19 @@ def _crossings(F: Distribution, G: Distribution
         x = F.quantile(t)
     edges = np.concatenate(([0.0], t, [1.0]))
     return x, t, float(np.diff(edges)[sign > 0].sum())
+
+
+def _density_turns(F: Distribution, G: Distribution
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """`_sign_roots` of g - f, bracketed on both models' quantiles over
+    `_TAIL_U_GRID`: the turns of G - F, with secant steps.  Zeros count
+    with the side below them, so that swapping F and G flips the signs
+    and keeps the roots.  (Steps aimed at a root often land where the
+    two densities round to the same double.)"""
+    xs = _sorted_unique(np.concatenate((_quantiles(F, "peak"),
+                                        _quantiles(G, "peak"))))
+    return _sign_roots(lambda x: G.density(x) - F.density(x), xs,
+                       below=True)
 
 
 def _gap_peaks(F: Distribution, G: Distribution
@@ -277,6 +389,8 @@ def _gap_peaks(F: Distribution, G: Distribution
     decays after each jump of G), else at the roots of g - f where G - F
     turns down, bracketed on both models' quantiles over a probability
     grid reaching 1e-12 into each tail (beyond it the gap is <= 1e-12).
+    One search of g - f serves both orientations of a report: where it
+    falls G - F peaks, where it rises F - G does.
     """
     f_emp, g_emp = isinstance(F, Empirical), isinstance(G, Empirical)
     if f_emp and g_emp:
@@ -284,9 +398,8 @@ def _gap_peaks(F: Distribution, G: Distribution
     if f_emp or g_emp:
         z = (F if f_emp else G).values
         return G.cdf(z), _cdf_left(F, z)
-    xs = _sorted_unique(np.concatenate((F.quantile(_TAIL_U_GRID),
-                                        G.quantile(_TAIL_U_GRID))))
-    roots, sign = _sign_roots(lambda x: G.density(x) - F.density(x), xs)
+    roots, sign = _shared(_density_turns, F, G,
+                          swap=lambda turns: (turns[0], -turns[1]))
     x = roots[sign[:-1] > 0]
     return G.cdf(x), F.cdf(x)
 
@@ -306,25 +419,34 @@ def vartheta_index(F: Distribution, G: Distribution) -> float:
 
 def _support_knots(F: Distribution, G: Distribution) -> np.ndarray:
     """Breakpoints covering both effective supports for epsilon's
-    integrals, with every empirical atom included.  Against a sample of
-    size n, a continuous model adds its quantiles at the sample's levels
-    i/n, where its CDF crosses the sample's steps and G - F changes sign
-    with a kink."""
+    integrals, with every empirical atom included: a continuous model's
+    quantiles at `_KNOT_LEVELS`.  Against a sample of size n, a
+    continuous model adds its quantiles at the sample's levels i/n, where
+    its CDF crosses the sample's steps and G - F changes sign with a
+    kink.  The knots are symmetric in F and G."""
     knots = []
-    u = _sorted_unique(np.concatenate((
-        np.logspace(-10, math.log10(0.5), 201),
-        1.0 - np.logspace(-10, math.log10(0.5), 201))))
     for model, other in ((F, G), (G, F)):
         if isinstance(model, Empirical):
             knots.append(model.values)
             continue
-        knots.append(model.quantile(u))
+        knots.append(_quantiles(model, "knot"))
         if isinstance(other, Empirical):
             knots.append(model.quantile(np.arange(1, other.n) / other.n))
     return _sorted_unique(np.concatenate(knots))
 
 
-_GL16 = np.polynomial.legendre.leggauss(16)
+# The 16-point Gauss-Legendre rule on [-1, 1], numpy's leggauss(16) to
+# the bit: its nodes and weights are symmetric, listed here from the
+# centre out.
+_GL16_HALF = (
+    np.array([0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+              0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+              0.9445750230732326, 0.9894009349916499]),
+    np.array([0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+              0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+              0.062253523938647456, 0.027152459411754176]))
+_GL16 = (np.concatenate((-_GL16_HALF[0][::-1], _GL16_HALF[0])),
+         np.concatenate((_GL16_HALF[1][::-1], _GL16_HALF[1])))
 
 
 def _gauss_legendre(knots: np.ndarray, pieces: int
@@ -344,11 +466,16 @@ def epsilon_index(F: Distribution, G: Distribution) -> float | None:
     """Ratio int (G-F)^+ dx / int |G-F| dx over the union of effective
     supports (combined 1e-10 quantile range for analytic models).
 
+    Two continuous models integrate between the knots of
+    `_support_knots` and the kinks of (G - F)^+ and |G - F| at the roots
+    of G - F: the crossings of `_crossings` strictly inside the knots.
+
     Returns None when the denominator vanishes (the distributions are
     indistinguishable over the range), which callers must treat as
     "undefined", never as zero.
     """
-    if isinstance(F, Empirical) and isinstance(G, Empirical):
+    f_emp, g_emp = isinstance(F, Empirical), isinstance(G, Empirical)
+    if f_emp and g_emp:
         z = np.concatenate((F.values, G.values))
         order = np.argsort(z, kind="stable")
         z, cy = z[order], np.cumsum(order >= F.n)
@@ -359,16 +486,13 @@ def epsilon_index(F: Distribution, G: Distribution) -> float | None:
         pos = float(np.sum(np.maximum(d, 0.0) * dz))
         tot = float(np.sum(np.abs(d) * dz))
     else:
-        def gap(x):
-            return G.cdf(x) - F.cdf(x)
-
-        knots, pieces = _support_knots(F, G), 1
-        if not (isinstance(F, Empirical) or isinstance(G, Empirical)):
-            # (G - F)^+ and |G - F| have kinks at the roots of G - F
-            roots = _sign_roots(gap, knots)[0]
-            knots, pieces = _sorted_unique(np.concatenate((knots, roots))), 4
+        knots, pieces = _shared(_support_knots, F, G), 1
+        if not (f_emp or g_emp):
+            x = _shared(_crossings, F, G)[0]
+            kinks = x[(knots[0] < x) & (x < knots[-1])]
+            knots, pieces = _sorted_unique(np.concatenate((knots, kinks))), 4
         xs, w = _gauss_legendre(knots, pieces)
-        d = gap(xs)
+        d = G.cdf(xs) - F.cdf(xs)
         pos = float(np.sum(np.maximum(d, 0.0) * w))
         tot = float(np.sum(np.abs(d) * w))
         span = float(knots[-1] - knots[0])
@@ -487,13 +611,18 @@ def index_report(F: Distribution, G: Distribution,
     and the computed ones are exact up to rounding, so a violation by
     more than 1e-12 indicates a numeric defect and raises rather than
     returning a silently inconsistent report.  ``grid`` is only recorded
-    in the report: no index depends on it.
+    in the report: no index depends on it.  While it runs, `_REPORT`
+    holds the work its indices share (see the module docstring).
     """
-    gamma = gamma_index(F, G)
-    rho = rho_index(F, G)
-    pi = pi_index(F, G)
-    vartheta = vartheta_index(F, G)
-    epsilon = epsilon_index(F, G)
+    token = _REPORT.set(_PairWork(F, G))
+    try:
+        gamma = gamma_index(F, G)
+        rho = rho_index(F, G)
+        pi = pi_index(F, G)
+        vartheta = vartheta_index(F, G)
+        epsilon = epsilon_index(F, G)
+    finally:
+        _REPORT.reset(token)
     for name, val in (("gamma", gamma), ("rho", rho), ("pi", pi),
                       ("vartheta", vartheta)):
         if not (-1e-12 <= val <= 1.0 + 1e-12):

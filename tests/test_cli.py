@@ -281,6 +281,19 @@ def test_bridge_lab_occupation_files(tmp_path):
     assert len(hist) == 51
 
 
+@pytest.mark.parametrize("subset", ["", ",", "0.5"])
+def test_bridge_lab_rejects_a_subset_without_intervals(tmp_path, capsys,
+                                                      subset):
+    # an empty --subset is no interval list, not "no subset"
+    out = tmp_path / "out"
+    assert main(["bridge-lab", "--mode", "occupation", "--paths", "20",
+                 "--bridge-grid", "64", "--subset", subset,
+                 "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "DomainError" and err["exit_code"] == 2
+    assert list(out.iterdir()) == []
+
+
 def test_bridge_lab_nonconsistency_files(tmp_path):
     out = tmp_path / "out"
     assert main(["bridge-lab", "--mode", "nonconsistency", "--n", "200",

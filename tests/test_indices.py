@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,12 @@ from scipy import integrate, optimize, stats
 
 from stochord import (DomainError, Empirical, GridSpec, NoncentralT1, Normal,
                       NormalMixture, ParameterError, builtin_scenarios,
-                      epsilon_index, gamma_index, index_report,
+                      distributions, epsilon_index, from_descriptor,
+                      gamma_index, index_report, indices,
                       optimal_copula_eval, pi_index, rearranged_quantile,
                       rho_index, vartheta_index)
-from stochord.indices import _TAIL_U_GRID, _crossings, _support_knots
+from stochord.indices import (_GL16, _TAIL_U_GRID, _crossings,
+                              _support_knots)
 
 from model_strategies import mixtures, normals, t1s
 from reference_indices import sup_gap_reference
@@ -449,3 +453,75 @@ def test_index_report_identical_models():
     assert rep.pi == pytest.approx(0.0, abs=1e-12)
     assert rep.epsilon is None
     assert not rep.epsilon_defined
+
+
+def test_gauss_legendre_rule_is_numpys_to_the_bit():
+    # written out, so that importing the module imports no
+    # numpy.polynomial and solves for no nodes
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(_GL16[0], nodes)
+    assert np.array_equal(_GL16[1], weights)
+
+
+def _fields(rep):
+    return rep.gamma, rep.rho, rep.pi, rep.vartheta, rep.epsilon
+
+
+def _alone(F, G):
+    return (gamma_index(F, G), rho_index(F, G), pi_index(F, G),
+            vartheta_index(F, G), epsilon_index(F, G))
+
+
+def _fresh(model):
+    return from_descriptor(model.to_json())
+
+
+@pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+@pytest.mark.parametrize("swap", [False, True], ids=["FG", "GF"])
+def test_index_report_shares_work_but_no_value(name, swap):
+    # a report takes each model's quantiles in one call and finds the
+    # crossings, the knots and the roots of g - f once; every field is
+    # still the value of its index alone, bit for bit
+    s = builtin_scenarios()[name]
+    F, G = (s.G, s.F) if swap else (s.F, s.G)
+    assert _fields(index_report(F, G)) == _alone(F, G)
+
+
+def test_index_report_keeps_nothing_between_calls():
+    # a fresh equal pair, the swapped pair, and pairs whose models take
+    # the memory (and ids) of freed ones all match a cold computation
+    scen = builtin_scenarios()
+    F, G = scen["case2-mix"].F, scen["case2-mix"].G
+    index_report(F, G)
+    for f, g in ((_fresh(F), _fresh(G)), (G, F)):
+        assert _fields(index_report(f, g)) == _alone(_fresh(f), _fresh(g))
+    for name in ("case1-mix", "case3-t", "case1-mix", "case3-t"):
+        s = scen[name]
+        got = _fields(index_report(_fresh(s.F), _fresh(s.G)))
+        assert got == _alone(_fresh(s.F), _fresh(s.G)), name
+    assert indices._REPORT.get() is None
+
+
+def test_index_report_work_counts(monkeypatch):
+    # fresh models, so each report builds its quantile tables too; the
+    # counts were 157 and 366 with halving and no shared work, and are
+    # 45 and 71 with the steps and the sharing
+    calls = Counter()
+    t1_cdf, mixture_cdf = distributions._t1_cdf, NormalMixture.cdf
+
+    def counted_t1_cdf(x, ncp):
+        calls["t1"] += 1
+        return t1_cdf(x, ncp)
+
+    def counted_mixture_cdf(self, x):
+        calls["mixture"] += 1
+        return mixture_cdf(self, x)
+
+    monkeypatch.setattr(distributions, "_t1_cdf", counted_t1_cdf)
+    monkeypatch.setattr(NormalMixture, "cdf", counted_mixture_cdf)
+    scen = builtin_scenarios()
+    for name in ("case2-t", "case2-mix"):
+        s = scen[name]
+        index_report(_fresh(s.F), _fresh(s.G))
+    assert calls["t1"] <= 60, calls
+    assert calls["mixture"] <= 139, calls
