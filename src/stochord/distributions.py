@@ -50,6 +50,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # the least sd of a normal (component): phi(0) / sd overflows for a
 # subnormal one
 _MIN_SD = sys.float_info.min
+_MAX_DOUBLE = sys.float_info.max
 
 
 def _phi(z):
@@ -131,10 +132,10 @@ def _bisect(probe, lo, hi, x=None, ends=None
           else np.array(ends[0], dtype=float))
     reach = np.ones(lo.size)            # ulps of the next move off an end
     wide = np.full(lo.size, np.inf)     # the width two passes back
-    width = hi - lo                     # and one pass back
     quiet = functools.partial(np.errstate, divide="ignore", invalid="ignore",
                               over="ignore")
     with quiet():
+        width = hi - lo                 # and one pass back
         if x is None and ends is not None:
             x = lo - vp * (hi - lo) / (ends[1] - vp)
         x = mid if x is None else np.where((lo < x) & (x < hi), x, mid)
@@ -476,7 +477,9 @@ class NormalMixture(Distribution):
         cell of `_quantile_table` holding t narrows the bracket, and
         Newton steps from its linear interpolation solve log F = log t
         below the median, where F falls like a Gaussian tail, and F = t
-        above it; `_bisect` stops them where cdf(x) >= t flips."""
+        above it; `_bisect` stops them where cdf(x) >= t flips.  Where
+        the components' quantiles are one double (one component, or
+        copies of one law), it is `Normal`'s quantile, m + s ndtri(t)."""
         from .special import ndtri
         s = t / self._w.sum()
         if (s >= 1.0).any():
@@ -488,6 +491,18 @@ class NormalMixture(Distribution):
         lo, hi = xt[j - 1], xt[j]
         with np.errstate(invalid="ignore"):     # an infinite end: no start
             x = lo + (t - ft[j - 1]) / (ft[j] - ft[j - 1]) * (hi - lo)
+        # The components' quantiles are rounded (m + s z is m where s z
+        # is below half an ulp of m), and `_bisect` never probes the ends:
+        # one narrows the bracket only where F there is on its side of t,
+        # or where all are one double, the answer.  The largest doubles
+        # stand in for the table's infinite ends.
+        a, b = q.min(axis=0), q.max(axis=0)
+        k = np.flatnonzero(a > lo)
+        k = k[(self.cdf(a[k]) < t[k]) | (a[k] == b[k])]
+        lo[k] = a[k]
+        k = np.flatnonzero(b < hi)
+        k = k[(self.cdf(b[k]) >= t[k]) | (a[k] == b[k])]
+        hi[k] = b[k]
         low = t < 0.5
 
         def probe(x, k):
@@ -496,8 +511,8 @@ class NormalMixture(Distribution):
                 return (c >= tk,
                         np.where(low[k], np.log1p((c - tk) / tk), c - tk),
                         np.where(low[k], f / c, f))
-        return _bisect(probe, np.maximum(lo, q.min(axis=0)),
-                       np.minimum(hi, q.max(axis=0)), x)[1]
+        return _bisect(probe, np.maximum(lo, -_MAX_DOUBLE),
+                       np.minimum(hi, _MAX_DOUBLE), x)[1]
 
     def _quantile_table(self) -> tuple[np.ndarray, np.ndarray]:
         # Lazily built table (x, F(x)) at every component's quantiles of

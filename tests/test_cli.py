@@ -577,7 +577,10 @@ def test_recorded_config_lists_unread_options_at_their_defaults(
     ["bridge-lab", "--mode", "nonconsistency", "--n", "500", "--reps", "40"],
     ["limit-law", "--index", "gamma", "--f", "{f}", "--g", "{g}",
      "--n", "300", "--reps", "30"],
-], ids=["occupation", "nonconsistency", "limit-law-gamma"])
+    # 1000 x 1100 resample indices a side: two draw blocks per replicate
+    ["simulate-table", "--case", "2", "--variant", "mix", "--n", "1100",
+     "--B", "1000", "--reps", "2"],
+], ids=["occupation", "nonconsistency", "limit-law-gamma", "simulate-table"])
 def test_replicate_commands_thread_invariance_bytes(tmp_path, argv):
     f = write_model(tmp_path, "f.json", {"kind": "normal", "mean": 0.0,
                                          "sd": 1.5})

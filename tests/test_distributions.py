@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -131,6 +132,29 @@ levels = st.one_of(st.floats(0.30103, 300.0).map(lambda e: 10.0 ** -e),
 @given(far_mixtures(), st.lists(levels, min_size=1, max_size=20))
 def test_mixture_quantile_is_the_least_double_reaching_t(d, ts):
     t = np.array(ts)
+    q = np.asarray(d.quantile(t))
+    assert np.all(d.cdf(q) >= t)
+    assert np.all(d.cdf(np.nextafter(q, -np.inf)) < t)
+
+
+def _tiny_sd_mixtures():
+    # the first: the largest component quantile m + s z at t rounds to m,
+    # where F holds only the first component's half weight
+    yield NormalMixture([
+        (0.5557300246843376, -0.07162624207653383, 1.5122475155697143e-142),
+        (0.44426997531566237, -0.09734779186893464, 4.606751145734395e-220)])
+    rng = np.random.default_rng(21)
+    for k in (2, 2, 3, 3):
+        w = rng.dirichlet(np.ones(k))
+        sd = 10.0 ** rng.uniform(-300, -20, k)
+        yield NormalMixture([(w[i] / w.sum(), float(rng.normal()), sd[i])
+                             for i in range(k)])
+
+
+@pytest.mark.parametrize("d", _tiny_sd_mixtures())
+def test_tiny_sd_mixture_quantile_is_the_least_double_reaching_t(d):
+    t = np.concatenate(([0.82381953], np.logspace(-300, math.log10(0.5), 40),
+                        1.0 - np.logspace(-15, math.log10(0.5), 20)))
     q = np.asarray(d.quantile(t))
     assert np.all(d.cdf(q) >= t)
     assert np.all(d.cdf(np.nextafter(q, -np.inf)) < t)

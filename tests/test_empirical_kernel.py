@@ -188,11 +188,29 @@ def test_bootstrap_over_2_15_distinct_values_uses_int32_codes(kind):
         seen.append((xo.dtype, yo.dtype))
         return indices._sorted_index(kind, xo, yo, grid)
 
+    # 60 x 20000 indices a side: blocks of 52 and 8 resamples
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(inference, "_sorted_index", spy)
-        got = bootstrap_sd(xs, ys, kind, 3, seed=8)
+        got = bootstrap_sd(xs, ys, kind, 60, seed=8)
     assert seen == [(np.int32, np.int32)]
-    assert same(got, _bootstrap_loop(xs, ys, kind, 3, None, 8))
+    assert same(got, _bootstrap_loop(xs, ys, kind, 60, None, 8))
+
+
+@pytest.mark.parametrize("kind", ["gamma", "rho", "pi"])
+def test_bootstrap_blocks_keep_the_one_shot_draws(kind):
+    # B n and B m above 2**20: x's indices come in blocks of 699 and 301
+    # resamples, y's in 953 and 47.  The reference draws each sample's
+    # values at once and takes the kernel on its sorted rows (a loop
+    # over the exact gamma of unequal sizes takes half a minute).
+    rng = np.random.default_rng(15)
+    n, m, B = 1500, 1100, 1000
+    xs, ys = rng.normal(size=n), np.round(rng.normal(0.3, 1.4, size=m), 1)
+    assert B * min(n, m) > inference._DRAW_INDICES
+    gen = as_seed(9).generator()
+    bx = np.sort(xs[gen.integers(0, n, size=(B, n))], axis=1)
+    by = np.sort(ys[gen.integers(0, m, size=(B, m))], axis=1)
+    one_shot = float(np.std(indices._sorted_index(kind, bx, by), ddof=1))
+    assert same(bootstrap_sd(xs, ys, kind, B, seed=9), one_shot)
 
 
 def test_bootstrap_exact_gamma_unequal_sizes_matches_plugin_loop():
@@ -207,19 +225,22 @@ def test_bootstrap_exact_gamma_unequal_sizes_matches_plugin_loop():
 
 
 def test_bootstrap_memory_is_bounded_by_the_resamples():
-    # the resamples are int16 rank codes, and each int64 index matrix
-    # lives only while its own sample is gathered: the peak is one index
-    # matrix and both code matrices, 3/8 of the B x (n + m) float64
-    # values plus int64 indices that drawing values would hold at once;
-    # the kernel runs over row chunks, so its temporaries add little
+    # the resamples are int16 rank codes, 2 B (n + m) bytes, and their
+    # int64 indices are drawn in blocks of 8 MiB; the kernel runs over
+    # row chunks, so its temporaries add little.  Four times the
+    # resamples add only their codes: the peak is flat in B beyond them.
     rng = np.random.default_rng(13)
-    B, n = 1000, 2000
+    n = 2000
     xs, ys = rng.normal(size=n), rng.normal(0.2, 1.1, size=n)
-    resample_bytes = B * (n + n) * 16
-    tracemalloc.start()
-    try:
-        bootstrap_sd(xs, ys, "pi", B, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.5 * resample_bytes, (peak, resample_bytes)
+    peaks = {}
+    for B in (1000, 4000):
+        tracemalloc.start()
+        try:
+            bootstrap_sd(xs, ys, "pi", B, seed=1)
+            peaks[B] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    codes = 1000 * (n + n) * 2
+    assert peaks[1000] <= codes + 8 * 2**20 + 2**20, peaks
+    assert abs(peaks[4000] - peaks[1000] - 3 * codes) <= 0.05 * 3 * codes, \
+        peaks
