@@ -15,9 +15,9 @@ NaN) raises `DomainError`.
 
 The quantile and the CDF satisfy the Galois duality
 ``t <= F(x)  iff  quantile(t) <= x``: exactly for empirical models and
-mixtures of two or more distinct components, and up to the stated
-numeric tolerance (1e-10 in the central range, machine precision in CDF
-space everywhere) for the other analytic families.
+mixtures not of one law, and up to the stated numeric tolerance (1e-10
+in the central range, machine precision in CDF space everywhere) for the
+other analytic families.
 
 The noncentral t with one degree of freedom has closed forms for its CDF
 (Owen's T function, with a cancellation-free variant in the lower tail)
@@ -64,6 +64,15 @@ def _standardize(x, mean, sd):
     # Phi is 0 or 1 and phi is 0 anyway
     with np.errstate(over="ignore"):
         return (x - mean) / sd
+
+
+def _normal_quantile(mean, sd, t):
+    """mean + sd ndtri(t), or the double above the mean where that sum
+    rounds to the mean at t > 1/2: the CDF is 1/2 at the mean and at
+    least t at the next double."""
+    from .special import ndtri
+    q = mean + sd * ndtri(t)
+    return np.where((q == mean) & (t > 0.5), np.nextafter(mean, np.inf), q)
 
 
 def _sorted_unique(x) -> np.ndarray:
@@ -231,8 +240,7 @@ class Normal(Distribution):
 
     @_evaluator(probability=True)
     def quantile(self, t):
-        from .special import ndtri
-        return self.mean + self.sd * ndtri(t)
+        return _normal_quantile(self.mean, self.sd, t)
 
     def sample(self, n: int, seed) -> np.ndarray:
         z = draw_rows(seed, (int(n),),
@@ -453,6 +461,8 @@ class NormalMixture(Distribution):
         self._w = np.array([c[0] for c in comps])
         self._m = np.array([c[1] for c in comps])
         self._s = np.array([c[2] for c in comps])
+        # (mean, sd) of a mixture of one law, else None
+        self._law = comps[0][1:] if len({c[1:] for c in comps}) == 1 else None
 
     # Both sum the components one at a time, elementwise, so that a
     # value does not depend on the array it is computed in (a matrix
@@ -471,38 +481,24 @@ class NormalMixture(Distribution):
 
     @_evaluator(probability=True)
     def quantile(self, t):
-        """Least double x with cdf(x) >= t.  At the least of the
-        components' quantiles at s = t / sum(w) every Phi_k <= s, at the
-        largest every Phi_k >= s: so they bracket F = t = s sum(w).  The
-        cell of `_quantile_table` holding t narrows the bracket, and
-        Newton steps from its linear interpolation solve log F = log t
-        below the median, where F falls like a Gaussian tail, and F = t
-        above it; `_bisect` stops them where cdf(x) >= t flips.  Where
-        the components' quantiles are one double (one component, or
-        copies of one law), it is `Normal`'s quantile, m + s ndtri(t)."""
-        from .special import ndtri
+        """Least double x with cdf(x) >= t.  The cell of
+        `_quantile_table` holding t brackets it, F being computed at both
+        of its ends, and Newton steps from its linear interpolation solve
+        log F = log t below the median, where F falls like a Gaussian
+        tail, and F = t above it; `_bisect` stops them where cdf(x) >= t
+        flips.  A mixture of one law (every component of one mean and
+        sd) has `Normal`'s quantile at t / sum(w)."""
         s = t / self._w.sum()
         if (s >= 1.0).any():
             raise NumericError("mixture quantile level exceeds the weights' "
                                "sum: the CDF never reaches it")
-        q = self._m[:, None] + self._s[:, None] * ndtri(s)
+        if self._law is not None:
+            return _normal_quantile(*self._law, s)
         xt, ft = self._quantile_table()
         j = np.searchsorted(ft, t, side="left")     # ft[j - 1] < t <= ft[j]
         lo, hi = xt[j - 1], xt[j]
         with np.errstate(invalid="ignore"):     # an infinite end: no start
             x = lo + (t - ft[j - 1]) / (ft[j] - ft[j - 1]) * (hi - lo)
-        # The components' quantiles are rounded (m + s z is m where s z
-        # is below half an ulp of m), and `_bisect` never probes the ends:
-        # one narrows the bracket only where F there is on its side of t,
-        # or where all are one double, the answer.  The largest doubles
-        # stand in for the table's infinite ends.
-        a, b = q.min(axis=0), q.max(axis=0)
-        k = np.flatnonzero(a > lo)
-        k = k[(self.cdf(a[k]) < t[k]) | (a[k] == b[k])]
-        lo[k] = a[k]
-        k = np.flatnonzero(b < hi)
-        k = k[(self.cdf(b[k]) >= t[k]) | (a[k] == b[k])]
-        hi[k] = b[k]
         low = t < 0.5
 
         def probe(x, k):
@@ -511,6 +507,7 @@ class NormalMixture(Distribution):
                 return (c >= tk,
                         np.where(low[k], np.log1p((c - tk) / tk), c - tk),
                         np.where(low[k], f / c, f))
+        # the largest doubles stand in for the table's infinite ends
         return _bisect(probe, np.maximum(lo, -_MAX_DOUBLE),
                        np.minimum(hi, _MAX_DOUBLE), x)[1]
 

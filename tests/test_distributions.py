@@ -137,6 +137,9 @@ def test_mixture_quantile_is_the_least_double_reaching_t(d, ts):
     assert np.all(d.cdf(np.nextafter(q, -np.inf)) < t)
 
 
+_VANISHING_SCALE = (-2.4712385078938136e-226, 9.813020074404335e-284)
+
+
 def _tiny_sd_mixtures():
     # the first: the largest component quantile m + s z at t rounds to m,
     # where F holds only the first component's half weight
@@ -149,6 +152,11 @@ def _tiny_sd_mixtures():
         sd = 10.0 ** rng.uniform(-300, -20, k)
         yield NormalMixture([(w[i] / w.sum(), float(rng.normal()), sd[i])
                              for i in range(k)])
+    # two laws whose quantiles round to one double above 1/2, the mean,
+    # where F is 1/2
+    yield NormalMixture([(0.5, 1.0, 1e-300), (0.5, 1.0, 2e-300)])
+    # one law: m + s ndtri(t) rounds to m, where F is 1/2, at every t
+    yield NormalMixture([(1.0, *_VANISHING_SCALE)])
 
 
 @pytest.mark.parametrize("d", _tiny_sd_mixtures())
@@ -171,9 +179,13 @@ def test_one_component_mixture_quantile_is_the_normal_one():
     ts = np.concatenate((np.logspace(-300, -1, 50),
                          np.linspace(0.01, 0.99, 99),
                          1.0 - np.logspace(-15, -1, 50)))
-    for m, s in [(0.0, 1.0), (-3.5, 0.01), (1e3, 250.0)]:
-        assert np.array_equal(NormalMixture([(1.0, m, s)]).quantile(ts),
-                              Normal(m, s).quantile(ts))
+    # the last, uneven copies of one law: their CDF differs from the
+    # normal one in the last bits, the quantile does not
+    for comps in ([(1.0, 0.0, 1.0)], [(1.0, -3.5, 0.01)], [(1.0, 1e3, 250.0)],
+                  [(1.0, *_VANISHING_SCALE)],
+                  [(0.3, 2.0, 1.5), (0.7, 2.0, 1.5)]):
+        assert np.array_equal(NormalMixture(comps).quantile(ts),
+                              Normal(*comps[0][1:]).quantile(ts))
 
 
 def test_mixture_weights_must_sum_to_one():
